@@ -544,7 +544,8 @@ func DefaultOptions(workers int) Options {
 
 // ReadFIMI parses a database in FIMI repository text format (one
 // transaction per line, space-separated non-negative integer items).
-// It applies no size limits; parse untrusted input with
+// It applies no size limits except a 16 MiB (1<<24 bytes) cap on one
+// line, which fails with a *FIMIParseError; parse untrusted input with
 // ReadFIMILimits.
 func ReadFIMI(name string, r io.Reader) (*DB, error) {
 	return dataset.ReadFIMI(name, r)
@@ -552,7 +553,8 @@ func ReadFIMI(name string, r io.Reader) (*DB, error) {
 
 // FIMILimits bounds what ReadFIMILimits accepts: maximum line length,
 // transaction count, and total item occurrences. Zero fields mean "no
-// limit on this axis".
+// limit on this axis", except that a line is never longer than 16 MiB
+// (1<<24 bytes), whatever MaxLineBytes says.
 type FIMILimits = dataset.Limits
 
 // FIMIParseError is the typed error malformed or over-limit FIMI input

@@ -156,10 +156,88 @@ func (d *DB) Recode(minSup int) *Recoded {
 }
 
 // RecodeOrdered is Recode with an explicit dense-code order.
+//
+// Supports are counted in a dense array indexed by item code, the same
+// array then serves as the code table, and every recoded transaction is
+// a capacity-limited window of one exact-size arena. Only a database
+// whose largest item code dwarfs its item occurrences (see sparseCodes)
+// takes the map-based path instead, so a lone item 4294967295 cannot
+// allocate a 16 GiB table.
 func (d *DB) RecodeOrdered(minSup int, order ItemOrder) *Recoded {
 	if minSup < 1 {
 		minSup = 1
 	}
+	var maxItem itemset.Item
+	occ := 0
+	for _, tr := range d.Transactions {
+		occ += len(tr)
+		for _, it := range tr {
+			maxItem = max(maxItem, it)
+		}
+	}
+	if sparseCodes(maxItem, occ) {
+		return d.recodeSparse(minSup, order)
+	}
+	counts := make([]int32, int(maxItem)+1)
+	for _, tr := range d.Transactions {
+		for _, it := range tr {
+			counts[it]++
+		}
+	}
+	items := []FrequentItem{}
+	total := 0
+	for it, c := range counts {
+		if int(c) >= minSup {
+			items = append(items, FrequentItem{Original: itemset.Item(it), Support: int(c)})
+			total += int(c)
+		}
+	}
+	if order == ByFrequency {
+		slices.SortFunc(items, func(a, b FrequentItem) int {
+			return cmp.Or(cmp.Compare(a.Support, b.Support), cmp.Compare(a.Original, b.Original))
+		})
+	}
+	// The counts are spent: reuse the array as the code table, with -1
+	// marking an infrequent item.
+	code := counts
+	for i := range code {
+		code[i] = -1
+	}
+	for i, fi := range items {
+		code[fi.Original] = int32(i)
+	}
+	arena := make([]itemset.Item, total)
+	out := &DB{Name: d.Name, Transactions: make([]Transaction, len(d.Transactions))}
+	pos := 0
+	for tid, tr := range d.Transactions {
+		start := pos
+		for _, it := range tr {
+			if c := code[it]; c >= 0 {
+				arena[pos] = itemset.Item(c)
+				pos++
+			}
+		}
+		nt := arena[start:pos:pos]
+		if order != ByCode {
+			// Frequency order permutes the codes; restore sortedness.
+			slices.Sort(nt)
+		}
+		out.Transactions[tid] = nt
+	}
+	return &Recoded{DB: out, Items: items, MinSup: minSup, Universe: len(d.Transactions)}
+}
+
+// sparseCodes reports whether a database with largest item code maxItem
+// and occ item occurrences should be recoded through a map rather than
+// a dense code table: true when the table would hold more than four
+// entries per occurrence (plus a 1024-entry allowance for tiny inputs).
+func sparseCodes(maxItem itemset.Item, occ int) bool {
+	return uint64(maxItem) > 4*uint64(occ)+1024
+}
+
+// recodeSparse is RecodeOrdered over a map of item supports, for item
+// code spaces too sparse for a dense table.
+func (d *DB) recodeSparse(minSup int, order ItemOrder) *Recoded {
 	counts := d.ItemCounts()
 	var keep []itemset.Item
 	for it, c := range counts {
@@ -251,11 +329,13 @@ func (e *ParseError) Error() string {
 // so a hostile or corrupt upload cannot balloon the process: a single
 // enormous line, an endless stream of transactions, or a database whose
 // item count alone exhausts memory all fail fast with a *ParseError
-// instead of an OOM. Zero fields mean "no limit on this axis".
+// instead of an OOM. Zero fields mean "no limit on this axis", except
+// that no line may exceed 16 MiB (1<<24 bytes) whatever MaxLineBytes is.
 type Limits struct {
 	// MaxLineBytes caps the byte length of one input line (one
 	// transaction). Longer lines fail with a *ParseError naming the
-	// line, not bufio's generic token-too-long error.
+	// line, not bufio's generic token-too-long error. Zero, or a value
+	// above 16 MiB, means 16 MiB.
 	MaxLineBytes int
 	// MaxTransactions caps the number of non-empty transactions.
 	MaxTransactions int
@@ -265,14 +345,25 @@ type Limits struct {
 	MaxTotalItems int64
 }
 
+// maxLineCap is the longest line (16 MiB) any FIMI reader accepts; a
+// longer line fails with a *ParseError even without Limits.
+const maxLineCap = 1 << 24
+
+// arenaBlock is the parse arena's block capacity in items (256 KiB).
+// Blocks are never regrown: a transaction that runs off the end of a
+// block moves whole into a fresh one, so each transaction is one window
+// of one block.
+const arenaBlock = 1 << 16
+
 // ReadFIMI parses the FIMI repository text format: one transaction per
 // line, items as whitespace-separated non-negative integers. Blank lines
 // are skipped. Items within a transaction are sorted and deduplicated.
 // Malformed tokens — negative items included — are rejected with a
 // *ParseError carrying the 1-based line number and the token.
 //
-// ReadFIMI applies no size limits and is for trusted inputs (local
-// files, the synthetic generators); untrusted uploads go through
+// ReadFIMI applies no limits beyond a 16 MiB (1<<24 bytes) line cap —
+// a longer line fails with a *ParseError — and is for trusted inputs
+// (local files, the synthetic generators); untrusted uploads go through
 // ReadFIMILimits.
 func ReadFIMI(name string, r io.Reader) (*DB, error) {
 	return ReadFIMILimits(name, r, Limits{})
@@ -280,10 +371,16 @@ func ReadFIMI(name string, r io.Reader) (*DB, error) {
 
 // ReadFIMILimits is ReadFIMI under explicit input limits; any breach
 // returns a typed *ParseError locating the offending line.
+//
+// Items are decoded in place while each token is scanned and appended
+// to an arena of blocks, so a parse allocates per block and per
+// transaction-slice growth, never per token or per line.
+// Each transaction is a capacity-limited window of its block: appending
+// to one copies it rather than overwriting its neighbour.
 func ReadFIMILimits(name string, r io.Reader, lim Limits) (*DB, error) {
 	db := &DB{Name: name}
 	sc := bufio.NewScanner(r)
-	maxLine := 1 << 24
+	maxLine := maxLineCap
 	if lim.MaxLineBytes > 0 && lim.MaxLineBytes < maxLine {
 		maxLine = lim.MaxLineBytes
 	}
@@ -297,41 +394,51 @@ func ReadFIMILimits(name string, r io.Reader, lim Limits) (*DB, error) {
 	sc.Buffer(make([]byte, 0, initBuf), maxLine+1)
 	lineNo := 0
 	var totalItems int64
+	var blk []itemset.Item // current arena block; len = items written
 	for sc.Scan() {
 		lineNo++
 		line := sc.Bytes()
-		var items []itemset.Item
-		i := 0
-		for i < len(line) {
-			// skip whitespace
-			for i < len(line) && (line[i] == ' ' || line[i] == '\t' || line[i] == '\r') {
+		start := len(blk) // this transaction is blk[start:]
+		ascending := true
+		for i := 0; i < len(line); {
+			if isSpace(line[i]) {
 				i++
+				continue
 			}
-			if i >= len(line) {
-				break
+			tok := i
+			var v itemset.Item
+			digits := true
+			for ; i < len(line) && !isSpace(line[i]); i++ {
+				d := line[i] - '0'
+				digits = digits && d <= 9
+				v = v*10 + itemset.Item(d)
 			}
-			start := i
-			for i < len(line) && line[i] != ' ' && line[i] != '\t' && line[i] != '\r' {
-				i++
-			}
-			tok := string(line[start:i])
-			if tok[0] == '-' {
-				return nil, &ParseError{Name: name, Line: lineNo, Token: tok, Msg: "negative item"}
-			}
-			v, err := strconv.ParseUint(tok, 10, 32)
-			if err != nil {
-				msg := "bad item"
-				if ne, ok := err.(*strconv.NumError); ok && ne.Err == strconv.ErrRange {
-					msg = "item out of range"
+			// Up to 9 plain digits cannot overflow an Item; anything
+			// else is strconv's call, which keeps every ParseError.
+			if !digits || i-tok > 9 {
+				var err error
+				if v, err = parseItem(name, lineNo, line[tok:i]); err != nil {
+					return nil, err
 				}
-				return nil, &ParseError{Name: name, Line: lineNo, Token: tok, Msg: msg}
 			}
-			items = append(items, itemset.Item(v))
+			if len(blk) == cap(blk) {
+				// A transaction longer than a block gets a block twice
+				// its length.
+				n := len(blk) - start
+				nb := make([]itemset.Item, n, max(arenaBlock, 2*n))
+				copy(nb, blk[start:])
+				blk, start = nb, 0
+			}
+			if len(blk) > start && v <= blk[len(blk)-1] {
+				ascending = false
+			}
+			blk = append(blk, v)
 		}
-		if len(items) == 0 {
+		tr := blk[start:]
+		if len(tr) == 0 {
 			continue
 		}
-		totalItems += int64(len(items))
+		totalItems += int64(len(tr))
 		if lim.MaxTotalItems > 0 && totalItems > lim.MaxTotalItems {
 			return nil, &ParseError{Name: name, Line: lineNo,
 				Msg: fmt.Sprintf("total item count exceeds limit %d", lim.MaxTotalItems)}
@@ -340,7 +447,12 @@ func ReadFIMILimits(name string, r io.Reader, lim Limits) (*DB, error) {
 			return nil, &ParseError{Name: name, Line: lineNo,
 				Msg: fmt.Sprintf("transaction count exceeds limit %d", lim.MaxTransactions)}
 		}
-		db.Transactions = append(db.Transactions, itemset.New(items...))
+		if !ascending {
+			slices.Sort(tr)
+			tr = slices.Compact(tr)
+			blk = blk[:start+len(tr)]
+		}
+		db.Transactions = append(db.Transactions, tr[:len(tr):len(tr)])
 	}
 	if err := sc.Err(); err != nil {
 		if err == bufio.ErrTooLong {
@@ -352,6 +464,28 @@ func ReadFIMILimits(name string, r io.Reader, lim Limits) (*DB, error) {
 		return nil, fmt.Errorf("dataset: %s: %v", name, err)
 	}
 	return db, nil
+}
+
+// isSpace reports whether c separates FIMI tokens.
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' }
+
+// parseItem decodes a token the in-place fast path does not take (not
+// 1–9 plain digits) exactly as strconv.ParseUint would, or fails with
+// the *ParseError that names it.
+func parseItem(name string, line int, b []byte) (itemset.Item, error) {
+	tok := string(b)
+	if tok[0] == '-' {
+		return 0, &ParseError{Name: name, Line: line, Token: tok, Msg: "negative item"}
+	}
+	v, err := strconv.ParseUint(tok, 10, 32)
+	if err != nil {
+		msg := "bad item"
+		if ne, ok := err.(*strconv.NumError); ok && ne.Err == strconv.ErrRange {
+			msg = "item out of range"
+		}
+		return 0, &ParseError{Name: name, Line: line, Token: tok, Msg: msg}
+	}
+	return itemset.Item(v), nil
 }
 
 // WriteFIMI writes the database in FIMI text format.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -421,4 +422,90 @@ func TestRecodeOrderedByFrequency(t *testing.T) {
 			t.Errorf("tidset %d support %d != %d", i, s.Support(), rec.Items[i].Support)
 		}
 	}
+}
+
+// TestArenaTransactionsAreCapacityLimited: parsed and recoded
+// transactions share arenas, so appending to one must copy it, never
+// overwrite the transaction stored after it.
+func TestArenaTransactionsAreCapacityLimited(t *testing.T) {
+	db := sampleDB(t)
+	rec := db.Recode(1)
+	for _, d := range []*DB{db, rec.DB} {
+		for i := 0; i+1 < d.NumTransactions(); i++ {
+			next := d.Transactions[i+1].Clone()
+			_ = append(d.Transactions[i], 999)
+			if !d.Transactions[i+1].Equal(next) {
+				t.Fatalf("%s: appending to transaction %d changed transaction %d to %v",
+					d.Name, i, i+1, d.Transactions[i+1])
+			}
+		}
+	}
+}
+
+// TestArenaBlockBoundaries parses a body of well over 64K item
+// occurrences — a long unsorted transaction with duplicates straddling
+// a block's end, then one longer than a whole block — and requires the
+// reference reader's exact result.
+func TestArenaBlockBoundaries(t *testing.T) {
+	var b strings.Builder
+	line := func(items ...int) {
+		for i, it := range items {
+			if i > 0 {
+				b.WriteByte(' ')
+			}
+			b.WriteString(strconv.Itoa(it))
+		}
+		b.WriteByte('\n')
+	}
+	r := rand.New(rand.NewSource(7))
+	long := func(n int) []int {
+		items := make([]int, n)
+		for i := range items {
+			items[i] = r.Intn(3 * n)
+		}
+		return items
+	}
+	// Single-item lines fill the first block to 1000 short of its end.
+	for i := 0; i < arenaBlock-1000; i++ {
+		line(i % 5000)
+	}
+	line(long(5000)...)           // straddles the first block's end
+	line(long(3 * arenaBlock)...) // outgrows a whole block
+	for i := 0; i < 100; i++ {
+		line(i+1, i)
+	}
+	input := b.String()
+	got, err := ReadFIMI("big", strings.NewReader(input))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := referenceReadFIMILimits("big", strings.NewReader(input), Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameTransactions(t, got, want)
+}
+
+// TestReadFIMIBlankOnly: an input of nothing but blank and whitespace
+// lines is an empty database, not an error.
+func TestReadFIMIBlankOnly(t *testing.T) {
+	db, err := ReadFIMI("blank", strings.NewReader("\n\n \t\r\n\r\n\n"))
+	if err != nil || db.NumTransactions() != 0 {
+		t.Fatalf("blank input: db=%v err=%v, want an empty database", db, err)
+	}
+}
+
+// TestRecodeSparseFallback: a huge item code among few occurrences
+// takes the map path, never a table sized by the code, and is recoded
+// like any other item. recode_test.go checks both paths agree.
+func TestRecodeSparseFallback(t *testing.T) {
+	if !sparseCodes(4294967295, 1<<20) || sparseCodes(2112, 49046*74) {
+		t.Fatal("sparseCodes misclassifies a huge sparse or a pumsb-sized dense code space")
+	}
+	huge := &DB{Name: "huge", Transactions: []Transaction{{1, 4294967295}, {4294967295}}}
+	rec := huge.Recode(2)
+	if len(rec.Items) != 1 || rec.Items[0] != (FrequentItem{4294967295, 2}) {
+		t.Fatalf("huge-code recode kept %+v", rec.Items)
+	}
+	requireSameTransactions(t, rec.DB, &DB{Transactions: []Transaction{{0}, {0}}})
 }

@@ -6,9 +6,49 @@ import (
 	"testing"
 )
 
-// FuzzReadFIMI checks the reader never panics and that every accepted
-// database is well-formed (sorted, deduplicated transactions) and
-// round-trips through WriteFIMI.
+// requireSameParse fails t unless ReadFIMILimits and the reference
+// reader agree on input under lim: both reject with the same error
+// (every *ParseError field included), or both accept the same
+// transactions. It returns ReadFIMILimits' result.
+func requireSameParse(t *testing.T, input string, lim Limits) (*DB, error) {
+	t.Helper()
+	got, err := ReadFIMILimits("fuzz", strings.NewReader(input), lim)
+	want, werr := referenceReadFIMILimits("fuzz", strings.NewReader(input), lim)
+	if (err == nil) != (werr == nil) {
+		t.Fatalf("accept/reject differs from the reference: got err %v, reference err %v", err, werr)
+	}
+	if werr != nil {
+		var pe, wpe *ParseError
+		if errors.As(err, &pe) != errors.As(werr, &wpe) || err.Error() != werr.Error() {
+			t.Fatalf("error %v (%T) differs from the reference's %v (%T)", err, err, werr, werr)
+		}
+		if wpe != nil && *pe != *wpe {
+			t.Fatalf("ParseError %+v differs from the reference's %+v", *pe, *wpe)
+		}
+		return nil, err
+	}
+	requireSameTransactions(t, got, want)
+	return got, nil
+}
+
+// requireSameTransactions fails t unless got and want hold the same
+// transactions in the same order.
+func requireSameTransactions(t *testing.T, got, want *DB) {
+	t.Helper()
+	if got.NumTransactions() != want.NumTransactions() {
+		t.Fatalf("%d transactions, reference has %d", got.NumTransactions(), want.NumTransactions())
+	}
+	for i := range want.Transactions {
+		if !got.Transactions[i].Equal(want.Transactions[i]) {
+			t.Fatalf("transaction %d = %v, reference has %v", i, got.Transactions[i], want.Transactions[i])
+		}
+	}
+}
+
+// FuzzReadFIMI checks the reader never panics, agrees with the
+// reference reader on every input, and that every accepted database is
+// well-formed (sorted, deduplicated transactions) and round-trips
+// through WriteFIMI.
 func FuzzReadFIMI(f *testing.F) {
 	f.Add("1 2 3\n4 5\n")
 	f.Add("")
@@ -17,19 +57,23 @@ func FuzzReadFIMI(f *testing.F) {
 	f.Add("1 x\n")
 	f.Add("-1\n")
 	f.Add("\t\r\n 3\r\n")
-	f.Add("4294967295\n")           // max uint32 item
-	f.Add("4294967296\n")           // one past: out of range
-	f.Add("99999999999999999999\n") // far out of range
-	f.Add("-0\n")                   // negative zero token
-	f.Add("1 -2 3\n")               // negative mid-transaction
-	f.Add("2.5\n")                  // non-integer token
-	f.Add("+3\n")                   // explicit plus sign
-	f.Add("0x10\n")                 // hex prefix
-	f.Add("1\x002\n")               // NUL inside a token
-	f.Add("7 \t 8\r")               // trailing CR without LF
-	f.Add(" \t \r \n")              // whitespace-only lines
+	f.Add("4294967295\n")            // max uint32 item
+	f.Add("4294967296\n")            // one past: out of range
+	f.Add("99999999999999999999\n")  // far out of range
+	f.Add("-0\n")                    // negative zero token
+	f.Add("1 -2 3\n")                // negative mid-transaction
+	f.Add("2.5\n")                   // non-integer token
+	f.Add("+3\n")                    // explicit plus sign
+	f.Add("0x10\n")                  // hex prefix
+	f.Add("1\x002\n")                // NUL inside a token
+	f.Add("7 \t 8\r")                // trailing CR without LF
+	f.Add(" \t \r \n")               // whitespace-only lines
+	f.Add("1234567890\n")            // 10 digits in range: strconv's path
+	f.Add("0000000007\n")            // 10 digits, leading zeros
+	f.Add("4294967295 4294967295\n") // duplicate max item
+	f.Add("9999999999\n")            // 10 digits out of range
 	f.Fuzz(func(t *testing.T, input string) {
-		db, err := ReadFIMI("fuzz", strings.NewReader(input))
+		db, err := requireSameParse(t, input, Limits{})
 		if err != nil {
 			return // rejected input is fine; panics are not
 		}
@@ -60,10 +104,10 @@ func FuzzReadFIMI(f *testing.F) {
 	})
 }
 
-// FuzzReadFIMILimits checks the hardened reader never panics, never
-// accepts a database outside its limits, and fails limit breaches with
-// a typed *ParseError — the untrusted-upload contract the serving layer
-// depends on.
+// FuzzReadFIMILimits checks the hardened reader never panics, agrees
+// with the reference reader, never accepts a database outside its
+// limits, and fails limit breaches with a typed *ParseError — the
+// untrusted-upload contract the serving layer depends on.
 func FuzzReadFIMILimits(f *testing.F) {
 	// Seeds around each limit boundary.
 	f.Add("1 2 3\n4 5\n", 32, 4, int64(8))
@@ -76,6 +120,8 @@ func FuzzReadFIMILimits(f *testing.F) {
 	f.Add("4294967295 0\n-1\n", 64, 8, int64(16))                      // parse error under limits
 	f.Add(strings.Repeat("1\n", 100), 0, 99, int64(0))                 // one past MaxTransactions
 	f.Add("1 2\n"+strings.Repeat("3 ", 1000)+"\n", 1024, 10, int64(3)) // item cap binds before line cap
+	f.Add("1234567890 0000000007\n", 22, 1, int64(2))                  // 10-digit tokens at the caps
+	f.Add("4294967295 4294967295\n9999999999\n", 0, 0, int64(0))       // dedup, then out of range
 	f.Fuzz(func(t *testing.T, input string, maxLine, maxTrans int, maxItems int64) {
 		// Keep limits in a sane range so the fuzzer explores behaviour,
 		// not int overflow of the limits themselves.
@@ -83,7 +129,7 @@ func FuzzReadFIMILimits(f *testing.F) {
 			return
 		}
 		lim := Limits{MaxLineBytes: maxLine, MaxTransactions: maxTrans, MaxTotalItems: maxItems}
-		db, err := ReadFIMILimits("fuzz", strings.NewReader(input), lim)
+		db, err := requireSameParse(t, input, lim)
 		if err != nil {
 			var pe *ParseError
 			if !errors.As(err, &pe) && strings.Contains(err.Error(), "exceeds") {

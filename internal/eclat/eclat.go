@@ -440,6 +440,9 @@ func (f *flattenedMiner) run(roots []vertical.Node, rootBytes int64) error {
 	if err := f.maybeDegrade(classes, func(c int) vertical.Node { return classParent[c] }); err != nil {
 		return err
 	}
+	if err := f.prepareAtoms(classes); err != nil {
+		return err
+	}
 	f.rc.ChargeMem(-rootBytes) // the roots retire once the pair level is live
 
 	// Intermediate expansions: materialize one more level per step,
@@ -497,6 +500,28 @@ func levelBytes(classes []eqClass) int64 {
 		}
 	}
 	return b
+}
+
+// prepareAtoms forces the deferred payloads of the pair level (the
+// nodeset representation's lazy 2-itemset lists) before any (class,
+// pos) stage fans out: those stages share a class's atoms across
+// concurrent tasks — an atom is x in its own task and y in its elder
+// siblings' — so an in-combine materialization would race. Each atom
+// is prepared by exactly one iteration of a parallel pass; the lone
+// atom of a one-atom class is never combined and stays deferred.
+func (f *flattenedMiner) prepareAtoms(classes []eqClass) error {
+	var atoms []vertical.Preparer
+	for _, c := range classes {
+		if len(c.atoms) < 2 {
+			continue
+		}
+		for _, a := range c.atoms {
+			if p, ok := a.node.(vertical.Preparer); ok {
+				atoms = append(atoms, p)
+			}
+		}
+	}
+	return f.team.ForCtx(f.rc, len(atoms), f.schedule, func(_, i int) { atoms[i].Prepare() })
 }
 
 // expandLevel runs one parallel breadth step: every (class, pos) task

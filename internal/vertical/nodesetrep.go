@@ -78,11 +78,10 @@ func (n *NodesetNode) materialize() {
 	kcount.AddNodes(kcount.Nodeset, 0, nodeset.EntryBytes*len(n.DN))
 }
 
-// Prepare implements Preparer: level-synchronous miners call it on
-// every parent of a level before counting blocks in parallel, because
-// one node serves as x in its own block and as y in its elder
-// siblings' — concurrent tasks that would otherwise both run the
-// deferred merge.
+// Prepare implements Preparer: miners call it on every shared parent
+// before a parallel stage, because one node serves as x in its own
+// block or task and as y in its elder siblings' — concurrent tasks
+// that would otherwise both run the deferred merge.
 func (n *NodesetNode) Prepare() { n.materialize() }
 
 // Bytes is the node's own list footprint. The per-run Encoding (the
