@@ -122,7 +122,7 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 		return true
 	}
 
-	// Per-worker arenas for the batched combine path: candidate payloads
+	// Per-worker arenas for the counting loops: candidate payloads
 	// recycle generation over generation, so once the free lists warm up
 	// the counting loop stops touching the allocator.
 	arenas := make([]*vertical.Arena, team.Workers())
@@ -225,9 +225,10 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 		// a single kernel call — with the static schedule's contiguous
 		// cuts weighted by estimated combine cost so block granularity
 		// keeps the paper's balance properties. The pairwise path is the
-		// paper's literal per-candidate loop; lazy materialization only
-		// computes supports here and allocates the frequent survivors
-		// afterwards.
+		// paper's literal per-candidate loop. Both pass minSup, so the
+		// tidset and diffset kernels stop building a candidate once it
+		// cannot be frequent. Lazy materialization only computes exact
+		// supports here and allocates the frequent survivors afterwards.
 		childNodes := make([]vertical.Node, n)
 		var err error
 		if batch {
@@ -250,7 +251,7 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 				for k := 0; k < m; k++ {
 					pys[k] = nodes[cands.Py[lo+k]]
 				}
-				rep.CombineManyInto(px, pys, out, a)
+				rep.CombineManyInto(px, pys, out, a, minSup)
 				pxBytes := int64(px.Bytes())
 				remoteParent := pxBytes // px streamed once per block
 				var mem int64
@@ -266,10 +267,9 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 					remoteParent = 0
 				}
 				rc.ChargeMem(mem)
-				a.Flush()
 			})
 		} else {
-			err = team.ForCtx(rc, n, schedule, func(_, i int) {
+			err = team.ForCtx(rc, n, schedule, func(worker, i int) {
 				px := nodes[cands.Px[i]]
 				py := nodes[cands.Py[i]]
 				cost := int64(vertical.CombineCost(px, py))
@@ -278,18 +278,25 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 					phase.Add(i, cost, cost, 0)
 					return
 				}
-				child := rep.Combine(px, py)
+				child := vertical.CombineWith(rep, arenas[worker], px, py, minSup)
 				childNodes[i] = child
 				cands.Level.Supports[i] = child.Support()
 				rc.ChargeMem(int64(child.Bytes()))
 				phase.Add(i, cost+int64(child.Bytes()), cost, int64(child.Bytes()))
 			})
 		}
+		for _, a := range arenas {
+			a.Flush()
+		}
 		core.EmitPhases(o, met)
 		if err != nil {
 			return collect(err)
 		}
 
+		// Commit compares every candidate's support against minSup and
+		// keeps only the frequent ones. A child the bounded combine cut
+		// short reports some support below minSup, not its true one;
+		// nothing reads that value after this point.
 		level, kept := tr.Commit(cands, minSup)
 		phase.AddSerial(int64(n) * 8)
 		// Carry forward only the frequent payloads, aligned with the new
@@ -327,20 +334,17 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 			for w, i := range kept {
 				next[w] = childNodes[i]
 			}
-			// Release the infrequent candidates' payloads.
+			// Release the infrequent candidates' payloads, and recycle
+			// their buffers: nil out the survivors, then release the
+			// rest round-robin so every worker's free list warms up, not
+			// just worker 0's. Children never alias parents or each
+			// other, so the kept payloads are safe.
 			rc.ChargeMem(vertical.NodesBytes(next) - vertical.NodesBytes(childNodes))
-			if batch {
-				// Recycle the infrequent children's buffers: nil out the
-				// survivors, then release the rest round-robin so every
-				// worker's free list warms up, not just worker 0's.
-				// Children never alias parents or each other, so the kept
-				// payloads are safe.
-				for _, i := range kept {
-					childNodes[i] = nil
-				}
-				for j, c := range childNodes {
-					arenas[j%len(arenas)].Release(c)
-				}
+			for _, i := range kept {
+				childNodes[i] = nil
+			}
+			for j, c := range childNodes {
+				arenas[j%len(arenas)].Release(c)
 			}
 		}
 		if err := rc.AddItemsets(level.Len()); err != nil {
@@ -362,7 +366,7 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 			}
 		}
 		rc.ChargeMem(-MemoryFootprint(nodes)) // retire the parent level
-		if batch && parentsReleasable {
+		if !lazy && parentsReleasable {
 			for j, p := range nodes {
 				arenas[j%len(arenas)].Release(p)
 			}

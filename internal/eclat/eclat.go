@@ -391,7 +391,7 @@ func (f *flattenedMiner) run(roots []vertical.Node, rootBytes int64) error {
 	pairNodes := make([]vertical.Node, nPairs)
 	err := f.team.ForCtx(f.rc, nPairs, f.schedule, func(w, t int) {
 		i, j := pi[t], pj[t]
-		child := vertical.CombineWith(rep, f.arenas[w], roots[i], roots[j])
+		child := vertical.CombineWith(rep, f.arenas[w], roots[i], roots[j], f.minSup)
 		cost := int64(vertical.CombineCost(roots[i], roots[j]))
 		phaseA.Add(t, cost+int64(child.Bytes()), cost, int64(child.Bytes()))
 		if child.Support() >= f.minSup {
@@ -675,10 +675,12 @@ type minerState struct {
 	out    []core.ItemsetCount
 }
 
-// combine is the miners' single combine entry point: arena-backed when
-// the representation supports recycling, allocating otherwise.
+// combine is the miners' single combine entry point: arena-backed and
+// support-bounded when the representation supports recycling,
+// allocating and exact otherwise. A child below minSup is released
+// unused, so the bound never changes what is emitted.
 func (m *minerState) combine(px, py vertical.Node) vertical.Node {
-	return vertical.CombineWith(m.rep, m.arena, px, py)
+	return vertical.CombineWith(m.rep, m.arena, px, py, m.minSup)
 }
 
 // batchCombine is the prefix-blocked form of the class-extension loop:
@@ -704,7 +706,7 @@ func (m *minerState) batchCombine(newPrefix itemset.Itemset, base vertical.Node,
 	for k, s := range sibs {
 		pys[k] = s.node
 	}
-	m.rep.CombineManyInto(base, pys, out, m.arena)
+	m.rep.CombineManyInto(base, pys, out, m.arena, m.minSup)
 	remoteBase := int64(base.Bytes()) // streamed once per class
 	var sub []atom
 	for k, s := range sibs {

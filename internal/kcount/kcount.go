@@ -71,6 +71,11 @@ type Stats struct {
 	// allocator — the zero-allocation combine path's figure of merit.
 	ArenaHits   int64
 	ArenaMisses int64
+	// CombinesAborted counts support-bounded combines that returned a
+	// dead child: the tidset or diffset kernel stopped (or never
+	// started) because the child could no longer reach minsup. Tallied
+	// per arena and flushed with the hit/miss tallies.
+	CombinesAborted int64
 	// BatchCalls counts invocations of the batched (prefix-blocked)
 	// combine kernels: one call intersects/subtracts/ANDs a resident
 	// parent against an entire sibling run.
@@ -123,6 +128,7 @@ func (s Stats) Sub(prev Stats) Stats {
 		HybridFlips:      s.HybridFlips - prev.HybridFlips,
 		ArenaHits:        s.ArenaHits - prev.ArenaHits,
 		ArenaMisses:      s.ArenaMisses - prev.ArenaMisses,
+		CombinesAborted:  s.CombinesAborted - prev.CombinesAborted,
 		BatchCalls:       s.BatchCalls - prev.BatchCalls,
 		ParentWordsSaved: s.ParentWordsSaved - prev.ParentWordsSaved,
 		TilesProcessed:   s.TilesProcessed - prev.TilesProcessed,
@@ -160,6 +166,7 @@ func (s Stats) Map() map[string]int64 {
 	put("hybrid_flips", s.HybridFlips)
 	put("arena_hits", s.ArenaHits)
 	put("arena_misses", s.ArenaMisses)
+	put("combines_aborted", s.CombinesAborted)
 	put("batch_calls", s.BatchCalls)
 	put("parent_words_saved", s.ParentWordsSaved)
 	put("tiles_processed", s.TilesProcessed)
@@ -188,6 +195,7 @@ type counters struct {
 	hybridFlips     atomic.Int64
 	arenaHits       atomic.Int64
 	arenaMisses     atomic.Int64
+	combinesAborted atomic.Int64
 	batchCalls      atomic.Int64
 	parentSaved     atomic.Int64
 	tilesProcessed  atomic.Int64
@@ -280,6 +288,7 @@ func Snapshot() Stats {
 	s.HybridFlips = global.hybridFlips.Load()
 	s.ArenaHits = global.arenaHits.Load()
 	s.ArenaMisses = global.arenaMisses.Load()
+	s.CombinesAborted = global.combinesAborted.Load()
 	s.BatchCalls = global.batchCalls.Load()
 	s.ParentWordsSaved = global.parentSaved.Load()
 	s.TilesProcessed = global.tilesProcessed.Load()
@@ -349,13 +358,15 @@ func AddHybridFlip() {
 	}
 }
 
-// AddArena accounts a batch of scratch-arena requests: hits served
-// from a free list, misses that allocated. Arenas flush their local
-// tallies in batches (per released scope), not per request.
-func AddArena(hits, misses int64) {
-	if Enabled() && (hits != 0 || misses != 0) {
+// AddArena accounts a batch of scratch-arena tallies: requests served
+// from a free list (hits) or the allocator (misses), and bounded
+// combines that returned a dead child (aborted). Arenas flush their
+// local tallies in batches (per released scope), not per request.
+func AddArena(hits, misses, aborted int64) {
+	if Enabled() && (hits != 0 || misses != 0 || aborted != 0) {
 		global.arenaHits.Add(hits)
 		global.arenaMisses.Add(misses)
+		global.combinesAborted.Add(aborted)
 	}
 }
 

@@ -17,6 +17,7 @@ func TestDisabledNoOp(t *testing.T) {
 	AddWordsPopcounted(5)
 	AddNode(Tidset, 64)
 	AddHybridFlip()
+	AddArena(1, 2, 3)
 	if d := Snapshot().Sub(before); len(d.Map()) != 0 {
 		t.Fatalf("disabled counters recorded %v", d.Map())
 	}
@@ -37,6 +38,8 @@ func TestEnableRecordsAndSub(t *testing.T) {
 	AddNode(Diffset, 32)
 	AddNode(Hybrid, 8)
 	AddHybridFlip()
+	AddArena(5, 1, 0)
+	AddArena(0, 0, 4)
 	d := Snapshot().Sub(base)
 	m := d.Map()
 	want := map[string]int64{
@@ -51,6 +54,9 @@ func TestEnableRecordsAndSub(t *testing.T) {
 		"nodes_built_hybrid":         1,
 		"bytes_materialized_hybrid":  8,
 		"hybrid_flips":               1,
+		"arena_hits":                 5,
+		"arena_misses":               1,
+		"combines_aborted":           4,
 	}
 	for k, v := range want {
 		if m[k] != v {

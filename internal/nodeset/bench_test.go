@@ -75,7 +75,7 @@ func BenchmarkFlatIntersectIntoSameData(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = tx.IntersectInto(ty, dst)
+		dst = tx.IntersectInto(ty, dst, 0)
 	}
 }
 

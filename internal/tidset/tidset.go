@@ -10,6 +10,23 @@
 // All operations come in two forms: an allocating form and an "Into" form
 // that appends into a caller-owned buffer, so the miners' hot loops can
 // recycle per-worker scratch space without touching the allocator.
+//
+// The Into kernels are support-bounded. A miner only keeps a child whose
+// support reaches minsup, so each merge stops as soon as its result can
+// no longer be used:
+//
+//   - IntersectInto(t, dst, minSup) stops once len(dst) +
+//     min(remaining(s), remaining(t)) < minSup. A result that stops
+//     early holds fewer than minSup elements; one that reaches minSup is
+//     exact.
+//   - DiffInto(t, dst, limit) stops once the result exceeds limit
+//     elements, so a result that stops early holds exactly limit+1. For
+//     a diffset child the limit is support(PX) − minsup: any diffset
+//     longer than that leaves support(PXY) = support(PX) − |d(PXY)|
+//     below minsup. A negative limit returns an empty result at once.
+//
+// Callers that need the exact set pass minSup 0 to IntersectInto and
+// limit len(s) to DiffInto; neither bound can then fire.
 package tidset
 
 import (
@@ -86,39 +103,54 @@ func (s Set) Equal(t Set) bool {
 
 // Intersect returns s ∩ t as a new set.
 func (s Set) Intersect(t Set) Set {
-	return s.IntersectInto(t, make(Set, 0, min(len(s), len(t))))
+	return s.IntersectInto(t, make(Set, 0, min(len(s), len(t))), 0)
 }
 
 // IntersectInto appends s ∩ t to dst[:0] and returns it. dst may be nil.
 // When one operand is much shorter than the other it switches to a
 // galloping (exponential search) strategy, which matters for skewed dense
 // data where one parent's tidset is tiny.
-func (s Set) IntersectInto(t Set, dst Set) Set {
+//
+// The merge stops as soon as the result cannot reach minSup elements
+// (see the package doc): a returned set shorter than minSup may be a
+// truncated prefix of s ∩ t, one of at least minSup elements is exact.
+// minSup ≤ 0 never stops early.
+func (s Set) IntersectInto(t Set, dst Set, minSup int) Set {
 	dst = dst[:0]
 	// Ensure s is the shorter operand.
 	if len(s) > len(t) {
 		s, t = t, s
 	}
-	if len(s) == 0 {
+	if len(s) == 0 || len(s) < minSup {
 		return dst
 	}
 	if len(t)/len(s) >= gallopRatio() {
-		return gallopIntersect(s, t, dst)
+		return gallopIntersect(s, t, dst, minSup)
 	}
-	return mergeIntersect(s, t, dst)
+	return mergeIntersect(s, t, dst, minSup)
 }
 
 // mergeIntersect is the linear two-pointer intersection; s must be the
-// shorter operand and non-empty.
-func mergeIntersect(s, t Set, dst Set) Set {
+// shorter operand and non-empty. Each operand may leave at most
+// len(operand) − minSup elements unmatched: one more and the result can
+// no longer reach minSup, so the loop stops there.
+func mergeIntersect(s, t Set, dst Set, minSup int) Set {
+	sMiss, tMiss := len(s)-minSup, len(t)-minSup
 	i, j := 0, 0
+loop:
 	for i < len(s) && j < len(t) {
 		a, b := s[i], t[j]
 		switch {
 		case a < b:
 			i++
+			if i-len(dst) > sMiss {
+				break loop
+			}
 		case a > b:
 			j++
+			if j-len(dst) > tMiss {
+				break loop
+			}
 		default:
 			dst = append(dst, a)
 			i++
@@ -142,7 +174,7 @@ func MergeIntersectInto(s, t Set, dst Set) Set {
 	if len(s) == 0 {
 		return dst
 	}
-	return mergeIntersect(s, t, dst)
+	return mergeIntersect(s, t, dst, 0)
 }
 
 // GallopIntersectInto is MergeIntersectInto's exponential-search twin.
@@ -154,15 +186,17 @@ func GallopIntersectInto(s, t Set, dst Set) Set {
 	if len(s) == 0 {
 		return dst
 	}
-	return gallopIntersect(s, t, dst)
+	return gallopIntersect(s, t, dst, 0)
 }
 
 // gallopIntersect intersects short s against long t by exponential +
 // binary search. The kernel counter charges one gallop pick per call
 // and one probe sequence per short-side element actually processed;
 // the counts come from the loop index, so the disabled path pays
-// nothing inside the loop.
-func gallopIntersect(s, t Set, dst Set) Set {
+// nothing inside the loop. It stops under the same bound as
+// mergeIntersect, checked once per short-side element.
+func gallopIntersect(s, t Set, dst Set, minSup int) Set {
+	sMiss := len(s) - minSup
 	lo := 0
 	si := 0
 	for ; si < len(s); si++ {
@@ -185,7 +219,7 @@ func gallopIntersect(s, t Set, dst Set) Set {
 		} else {
 			lo = k
 		}
-		if lo >= len(t) {
+		if lo >= len(t) || si+1-len(dst) > sMiss || len(dst)+len(t)-lo < minSup {
 			si++
 			break
 		}
@@ -197,13 +231,14 @@ func gallopIntersect(s, t Set, dst Set) Set {
 // IntersectManyInto intersects one parent set px against every sibling
 // in pys, appending each result into dsts[i][:0] (entries may be nil)
 // and storing the grown buffer back into dsts[i]. It is semantically
-// identical to len(pys) IntersectInto calls, but the parent is
+// identical to len(pys) IntersectInto calls with the same minSup bound
+// (a result shorter than minSup may be truncated), but the parent is
 // amortized across the block: px's bounds are computed once and each
 // sibling is first trimmed to the window [px[0], px[last]] — the only
 // region that can intersect — so sibling tails outside the parent's
 // range are skipped without entering the merge loop. Charges one
 // batch_calls tick and (m−1)×len(px) parent_words_saved.
-func IntersectManyInto(px Set, pys []Set, dsts []Set) {
+func IntersectManyInto(px Set, pys []Set, dsts []Set, minSup int) {
 	m := len(pys)
 	if m == 0 {
 		return
@@ -217,7 +252,7 @@ func IntersectManyInto(px Set, pys []Set, dsts []Set) {
 	}
 	lo, hi := px[0], px[len(px)-1]
 	for i, py := range pys {
-		dsts[i] = px.IntersectInto(trim(py, lo, hi), dsts[i])
+		dsts[i] = px.IntersectInto(trim(py, lo, hi), dsts[i], minSup)
 	}
 	kcount.AddBatch(m, len(px))
 }
@@ -227,8 +262,11 @@ func IntersectManyInto(px Set, pys []Set, dsts []Set) {
 // prefix block: the shared subtrahend sub = d(PX) is trimmed per
 // sibling to the window that can actually cancel elements, and its
 // re-streaming is charged to the kernel counters once per block
-// instead of once per sibling.
-func DiffManyInto(sub Set, srcs []Set, dsts []Set) {
+// instead of once per sibling. Every sibling shares DiffInto's limit:
+// for a diffset block it is support(PX) − minsup, one number for the
+// whole block, and a result holding limit+1 elements marks a dead
+// child.
+func DiffManyInto(sub Set, srcs []Set, dsts []Set, limit int) {
 	m := len(srcs)
 	if m == 0 {
 		return
@@ -238,7 +276,7 @@ func DiffManyInto(sub Set, srcs []Set, dsts []Set) {
 		if len(src) > 0 && len(t) > 0 {
 			t = trim(t, src[0], src[len(src)-1])
 		}
-		dsts[i] = src.DiffInto(t, dsts[i])
+		dsts[i] = src.DiffInto(t, dsts[i], limit)
 	}
 	kcount.AddBatch(m, len(sub))
 }
@@ -260,19 +298,31 @@ func trim(s Set, lo, hi TID) Set {
 
 // Diff returns s \ t as a new set.
 func (s Set) Diff(t Set) Set {
-	return s.DiffInto(t, make(Set, 0, len(s)))
+	return s.DiffInto(t, make(Set, 0, len(s)), len(s))
 }
 
-// DiffInto appends s \ t to dst[:0] and returns it.
-func (s Set) DiffInto(t Set, dst Set) Set {
+// DiffInto appends s \ t to dst[:0] and returns it, stopping as soon
+// as the result exceeds limit elements (see the package doc). A
+// stopped result holds exactly limit+1 elements, the first of s \ t,
+// so a destination of capacity limit+1 never grows; a result of at
+// most limit elements is exact. limit < 0 returns dst[:0] untouched;
+// limit ≥ len(s) never stops early.
+func (s Set) DiffInto(t Set, dst Set, limit int) Set {
 	dst = dst[:0]
+	if limit < 0 {
+		return dst
+	}
 	i, j := 0, 0
+loop:
 	for i < len(s) && j < len(t) {
 		a, b := s[i], t[j]
 		switch {
 		case a < b:
 			dst = append(dst, a)
 			i++
+			if len(dst) > limit {
+				break loop
+			}
 		case a > b:
 			j++
 		default:
@@ -281,7 +331,8 @@ func (s Set) DiffInto(t Set, dst Set) Set {
 		}
 	}
 	kcount.AddMergeSteps(i + j)
-	return append(dst, s[i:]...)
+	// The uncancelled tail, cut so the result holds at most limit+1.
+	return append(dst, s[i:min(len(s), i+limit+1-len(dst))]...)
 }
 
 // DiffSize returns |s \ t| without materializing the difference.

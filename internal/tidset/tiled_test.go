@@ -279,7 +279,7 @@ func BenchmarkFlatIntersectIntoRegimes(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dst = x.IntersectInto(y, dst)
+				dst = x.IntersectInto(y, dst, 0)
 			}
 		})
 	}

@@ -7,8 +7,9 @@
 // a per-worker free list of nodes: CombineInto takes the child's node
 // and backing storage from the arena when it can (a hit) and falls
 // through to the allocator when it cannot (a miss), and Release
-// returns a node whose subtree is fully mined. Hits and misses are
-// tallied locally and flushed to kcount in batches.
+// returns a node whose subtree is fully mined. Hits, misses and
+// support-bounded combines that returned a dead child are tallied
+// locally and flushed to kcount in batches.
 //
 // Ownership discipline: a node released to an arena must have no live
 // children in flight — the miners release a class's atoms only after
@@ -41,6 +42,7 @@ type Arena struct {
 	nodesets []*NodesetNode
 	hits     int64
 	misses   int64
+	aborted  int64
 
 	// Batched-combine scratch (batch.go), reused across CombineManyInto
 	// calls so the block loop never allocates slice headers. Safe
@@ -95,15 +97,29 @@ func (a *Arena) Release(n Node) {
 	}
 }
 
-// Flush folds the arena's local hit/miss tallies into the process-wide
-// kernel counters. The miners call it at task boundaries so the hot
-// loop never touches an atomic. Nil-safe.
+// Flush folds the arena's local hit/miss/aborted tallies into the
+// process-wide kernel counters. The miners call it at task boundaries
+// so the hot loop never touches an atomic. Nil-safe.
 func (a *Arena) Flush() {
 	if a == nil {
 		return
 	}
-	kcount.AddArena(a.hits, a.misses)
-	a.hits, a.misses = 0, 0
+	kcount.AddArena(a.hits, a.misses, a.aborted)
+	a.hits, a.misses, a.aborted = 0, 0, 0
+}
+
+// countDead tallies the children of one bounded combine call that came
+// back below minSup: the combines_aborted counter. A nil arena (tests,
+// callers without per-worker state) charges kcount directly.
+func (a *Arena) countDead(n int) {
+	if n == 0 {
+		return
+	}
+	if a == nil {
+		kcount.AddArena(0, 0, int64(n))
+		return
+	}
+	a.aborted += int64(n)
 }
 
 // getTidset pops a recycled tidset node (buffer truncated, capacity
@@ -163,27 +179,29 @@ func (a *Arena) getBitvec(nbits int) *BitvectorNode {
 }
 
 // IntoCombiner is implemented by representations whose Combine can
-// recycle arena storage. CombineInto(a, px, py) is semantically
-// identical to Combine(px, py) — same support, same logical set — but
-// the child's node and backing buffer come from a when possible. The
-// result never shares backing memory with px or py.
+// recycle arena storage. CombineInto(a, px, py, minSup) returns a child
+// that reaches minSup identical to Combine(px, py) — same support, same
+// logical set — and a child below minSup that reports some Support() <
+// minSup (the package doc's bound). The child's node and backing buffer
+// come from a when possible. The result never shares backing memory
+// with px or py.
 type IntoCombiner interface {
-	CombineInto(a *Arena, px, py Node) Node
+	CombineInto(a *Arena, px, py Node, minSup int) Node
 }
 
 // CombineWith dispatches to rep's CombineInto when it has one and an
-// arena is supplied, else to the allocating Combine. This is the
-// single combine entry point of the miners' recursion hot loops.
-func CombineWith(rep Representation, a *Arena, px, py Node) Node {
+// arena is supplied, else to the allocating, unbounded Combine. This is
+// the single combine entry point of the miners' recursion hot loops.
+func CombineWith(rep Representation, a *Arena, px, py Node, minSup int) Node {
 	if a != nil {
 		if ic, ok := rep.(IntoCombiner); ok {
-			return ic.CombineInto(a, px, py)
+			return ic.CombineInto(a, px, py, minSup)
 		}
 	}
 	return rep.Combine(px, py)
 }
 
-func (tidsetRep) CombineInto(a *Arena, px, py Node) Node {
+func (tidsetRep) CombineInto(a *Arena, px, py Node, minSup int) Node {
 	x, y := px.(*TidsetNode), py.(*TidsetNode)
 	n := a.getTidset()
 	// Presize to the intersection's upper bound so an undersized recycled
@@ -191,24 +209,44 @@ func (tidsetRep) CombineInto(a *Arena, px, py Node) Node {
 	if bound := min(len(x.TIDs), len(y.TIDs)); cap(n.TIDs) < bound {
 		n.TIDs = make(tidset.Set, 0, bound)
 	}
-	n.TIDs = x.TIDs.IntersectInto(y.TIDs, n.TIDs)
+	n.TIDs = x.TIDs.IntersectInto(y.TIDs, n.TIDs, minSup)
+	if len(n.TIDs) < minSup {
+		a.countDead(1)
+	}
 	kcount.AddNode(kcount.Tidset, n.Bytes())
 	return n
 }
 
-func (diffsetRep) CombineInto(a *Arena, px, py Node) Node {
+// diffCap is the capacity a bounded d(PY) − d(PX) can need: at most
+// |d(PY)| elements, and the kernel stops at limit+1. The limit is
+// support(PX) − minSup, the longest diffset a child can carry and still
+// reach minSup, since support(PXY) = support(PX) − |d(PXY)|; minSup 0
+// gives support(PX), which no exact child exceeds.
+func diffCap(dy tidset.Set, limit int) int {
+	if limit < len(dy) {
+		return max(limit+1, 0)
+	}
+	return len(dy)
+}
+
+func (diffsetRep) CombineInto(a *Arena, px, py Node, minSup int) Node {
 	x, y := px.(*DiffsetNode), py.(*DiffsetNode)
 	n := a.getDiffset()
-	if cap(n.Diff) < len(y.Diff) { // |d(PY) − d(PX)| ≤ |d(PY)|
-		n.Diff = make(tidset.Set, 0, len(y.Diff))
+	limit := x.sup - minSup
+	if c := diffCap(y.Diff, limit); cap(n.Diff) < c {
+		n.Diff = make(tidset.Set, 0, c)
 	}
-	n.Diff = y.Diff.DiffInto(x.Diff, n.Diff) // d(PXY) = d(PY) − d(PX)
+	n.Diff = y.Diff.DiffInto(x.Diff, n.Diff, limit) // d(PXY) = d(PY) − d(PX)
 	n.sup = x.sup - len(n.Diff)
+	if n.sup < minSup {
+		a.countDead(1)
+	}
 	kcount.AddNode(kcount.Diffset, n.Bytes())
 	return n
 }
 
-func (bitvectorRep) CombineInto(a *Arena, px, py Node) Node {
+// CombineInto ignores minSup: the bitvector child is always exact.
+func (bitvectorRep) CombineInto(a *Arena, px, py Node, _ int) Node {
 	x, y := px.(*BitvectorNode), py.(*BitvectorNode)
 	n := a.getBitvec(x.Bits.Len())
 	n.Bits.AndInto(x.Bits, y.Bits)

@@ -125,7 +125,7 @@ func TestCombineIntoMatchesCombine(t *testing.T) {
 		for i := 0; i < len(roots); i++ {
 			for j := i + 1; j < len(roots); j++ {
 				want := rep.Combine(roots[i], roots[j])
-				got := CombineWith(rep, a, roots[i], roots[j])
+				got := CombineWith(rep, a, roots[i], roots[j], 0)
 				if got.Support() != want.Support() {
 					t.Fatalf("%v {%d,%d}: support %d, want %d", kind, i, j, got.Support(), want.Support())
 				}
@@ -146,14 +146,17 @@ func TestCombineIntoMatchesCombine(t *testing.T) {
 // memory with its live parents. Scribbling over the child's full
 // buffer capacity must leave both parents' payloads untouched, and
 // vice versa — including children recycled through Release, whose
-// buffers migrated through the free list.
+// buffers migrated through the free list. Even rounds combine under a
+// random minSup, so dead children whose capacity was trimmed to the
+// diffset limit+1 are released and then recycled by the exact odd
+// rounds, which need more room.
 func TestCombineIntoNeverAliasesParents(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rec := randomRecoded(t, rng, 7, 50)
 	for _, kind := range intoKinds() {
 		rep := New(kind).(IntoCombiner)
 		a := NewArena()
-		for round := 0; round < 3; round++ { // round > 0 uses recycled buffers
+		for round := 0; round < 4; round++ { // round > 0 uses recycled buffers
 			var released []Node
 			for i := 0; i < 6; i++ {
 				for j := i + 1; j < 6; j++ {
@@ -161,8 +164,12 @@ func TestCombineIntoNeverAliasesParents(t *testing.T) {
 					// intact. Fresh roots per pair, since scribble destroys.
 					roots := New(kind).Roots(rec)
 					px, py := roots[i], roots[j]
+					minSup := 0
+					if round%2 == 0 {
+						minSup = 1 + rng.Intn(px.Support()+1)
+					}
 					pxBefore, pyBefore := payload(px), payload(py)
-					child := rep.CombineInto(a, px, py)
+					child := rep.CombineInto(a, px, py, minSup)
 					scribble(child)
 					if !samePayload(payload(px), pxBefore) {
 						t.Fatalf("%v round %d {%d,%d}: mutating child corrupted px", kind, round, i, j)
@@ -176,7 +183,7 @@ func TestCombineIntoNeverAliasesParents(t *testing.T) {
 					// intact.
 					roots = New(kind).Roots(rec)
 					px, py = roots[i], roots[j]
-					child = rep.CombineInto(a, px, py)
+					child = rep.CombineInto(a, px, py, minSup)
 					childBefore := payload(child)
 					scribble(px)
 					scribble(py)
@@ -202,13 +209,13 @@ func TestArenaHitMissAccounting(t *testing.T) {
 		rep := New(kind).(IntoCombiner)
 		roots := New(kind).Roots(rec)
 		a := NewArena()
-		c1 := rep.CombineInto(a, roots[0], roots[1])
+		c1 := rep.CombineInto(a, roots[0], roots[1], 0)
 		if a.hits != 0 || a.misses != 1 {
 			t.Fatalf("%v: after first combine hits=%d misses=%d, want 0/1", kind, a.hits, a.misses)
 		}
 		want := New(kind).Combine(roots[0], roots[2]).Support()
 		a.Release(c1)
-		c2 := rep.CombineInto(a, roots[0], roots[2])
+		c2 := rep.CombineInto(a, roots[0], roots[2], 0)
 		if a.hits != 1 || a.misses != 1 {
 			t.Fatalf("%v: after recycled combine hits=%d misses=%d, want 1/1", kind, a.hits, a.misses)
 		}
@@ -230,7 +237,7 @@ func TestArenaBitvecLengthMismatch(t *testing.T) {
 	roots := New(Bitvector).Roots(rec)
 	a := NewArena()
 	a.Release(&BitvectorNode{Bits: bitvec.New(3)})
-	c := rep.CombineInto(a, roots[0], roots[1])
+	c := rep.CombineInto(a, roots[0], roots[1], 0)
 	if a.hits != 0 || a.misses != 1 {
 		t.Fatalf("hits=%d misses=%d, want the mismatched node dropped as a miss", a.hits, a.misses)
 	}
@@ -250,7 +257,7 @@ func TestArenaNilSafe(t *testing.T) {
 	rec := exampleRecoded(t, 1)
 	rep := New(Diffset)
 	roots := rep.Roots(rec)
-	got := CombineWith(rep, nil, roots[0], roots[1])
+	got := CombineWith(rep, nil, roots[0], roots[1], 0)
 	want := rep.Combine(roots[0], roots[1])
 	if got.Support() != want.Support() || !samePayload(payload(got), payload(want)) {
 		t.Fatal("CombineWith(nil arena) diverges from Combine")
@@ -303,7 +310,7 @@ func BenchmarkCombineInto(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				a.Release(CombineWith(rep, a, roots[i%4], roots[4+i%4]))
+				a.Release(CombineWith(rep, a, roots[i%4], roots[4+i%4], 0))
 			}
 		})
 	}

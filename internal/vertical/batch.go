@@ -9,7 +9,10 @@
 // parent_words_saved counter records the words of parent payload NOT
 // re-streamed relative to the pairwise path.
 //
-// The aliasing and ownership discipline is exactly CombineInto's:
+// The minSup bound is exactly CombineInto's (see the package doc): the
+// tidset and diffset kernels stop each dead child early, the other
+// kinds ignore the bound. The aliasing and ownership discipline is
+// CombineInto's too:
 // results never share backing memory with px or any pys element, and
 // arena storage recycles node buffers when an arena is supplied. A nil
 // arena allocates fresh nodes (and fresh scratch), so the batched path
@@ -66,7 +69,7 @@ func (a *Arena) scratchVecs(m int) (pys, outs []*bitvec.Vector, sups []int) {
 	return a.batchVec[:m], a.batchOut[:m], a.batchSup[:m]
 }
 
-func (tidsetRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
+func (tidsetRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena, minSup int) {
 	m := len(pys)
 	if m == 0 {
 		return
@@ -86,46 +89,55 @@ func (tidsetRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
 		dsts[i] = nd.TIDs
 		out[i] = nd
 	}
-	tidset.IntersectManyInto(x.TIDs, srcs, dsts)
-	bytes := 0
+	tidset.IntersectManyInto(x.TIDs, srcs, dsts, minSup)
+	bytes, dead := 0, 0
 	for i := range dsts {
 		nd := out[i].(*TidsetNode)
 		nd.TIDs = dsts[i]
 		bytes += nd.Bytes()
+		if len(nd.TIDs) < minSup {
+			dead++
+		}
 	}
+	a.countDead(dead)
 	kcount.AddNodes(kcount.Tidset, m, bytes)
 }
 
-func (diffsetRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
+func (diffsetRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena, minSup int) {
 	m := len(pys)
 	if m == 0 {
 		return
 	}
 	x := px.(*DiffsetNode)
+	limit := x.sup - minSup // shared by the whole block
 	srcs, dsts := a.scratchSets(m)
 	for i, py := range pys {
 		y := py.(*DiffsetNode)
 		srcs[i] = y.Diff
 		nd := a.getDiffset()
-		// Presize: d(PY) − d(PX) is at most |d(PY)| elements.
-		if cap(nd.Diff) < len(y.Diff) {
-			nd.Diff = make(tidset.Set, 0, len(y.Diff))
+		if c := diffCap(y.Diff, limit); cap(nd.Diff) < c {
+			nd.Diff = make(tidset.Set, 0, c)
 		}
 		dsts[i] = nd.Diff
 		out[i] = nd
 	}
-	tidset.DiffManyInto(x.Diff, srcs, dsts) // d(PXY) = d(PY) − d(PX)
-	bytes := 0
+	tidset.DiffManyInto(x.Diff, srcs, dsts, limit) // d(PXY) = d(PY) − d(PX)
+	bytes, dead := 0, 0
 	for i := range dsts {
 		nd := out[i].(*DiffsetNode)
 		nd.Diff = dsts[i]
 		nd.sup = x.sup - len(nd.Diff)
 		bytes += nd.Bytes()
+		if nd.sup < minSup {
+			dead++
+		}
 	}
+	a.countDead(dead)
 	kcount.AddNodes(kcount.Diffset, m, bytes)
 }
 
-func (bitvectorRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
+// CombineManyInto ignores minSup: bitvector children are always exact.
+func (bitvectorRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena, _ int) {
 	m := len(pys)
 	if m == 0 {
 		return
@@ -151,8 +163,9 @@ func (bitvectorRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
 // hybridRep batches by falling back to pairwise Combine: a hybrid node
 // flips between tidset and diffset form per child, so there is no
 // shared-parent kernel to amortize — and no batch counters are
-// charged, since no parent words are actually saved.
-func (h hybridRep) CombineManyInto(px Node, pys []Node, out []Node, _ *Arena) {
+// charged, since no parent words are actually saved. It ignores minSup:
+// hybrid children are always exact.
+func (h hybridRep) CombineManyInto(px Node, pys []Node, out []Node, _ *Arena, _ int) {
 	for i, py := range pys {
 		out[i] = h.Combine(px, py)
 	}

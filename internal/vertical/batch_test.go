@@ -22,7 +22,7 @@ func TestCombineManyIntoMatchesCombine(t *testing.T) {
 			for i := 0; i < len(roots)-1; i++ {
 				pys := roots[i+1:]
 				out := make([]Node, len(pys))
-				rep.CombineManyInto(roots[i], pys, out, arena)
+				rep.CombineManyInto(roots[i], pys, out, arena, 0)
 				for j, py := range pys {
 					want := rep.Combine(roots[i], py)
 					if out[j].Support() != want.Support() {
@@ -66,7 +66,7 @@ func TestCombineManyIntoNeverAliases(t *testing.T) {
 				parentsBefore[i] = payload(r)
 			}
 			out := make([]Node, len(pys))
-			rep.CombineManyInto(px, pys, out, a)
+			rep.CombineManyInto(px, pys, out, a, 0)
 			sibsBefore := make([][]tidset.TID, len(out))
 			for j, n := range out {
 				sibsBefore[j] = payload(n)
@@ -91,7 +91,7 @@ func TestCombineManyIntoNeverAliases(t *testing.T) {
 			roots = New(kind).Roots(rec)
 			px, pys = roots[0], roots[1:]
 			out = make([]Node, len(pys))
-			rep.CombineManyInto(px, pys, out, a)
+			rep.CombineManyInto(px, pys, out, a, 0)
 			childBefore := make([][]tidset.TID, len(out))
 			for j, n := range out {
 				childBefore[j] = payload(n)
@@ -138,8 +138,8 @@ func TestTiledLayoutMatchesFlat(t *testing.T) {
 		tx, tys := tRoots[0], tRoots[1:]
 		fOut := make([]Node, len(pys))
 		tOut := make([]Node, len(tys))
-		flat.CombineManyInto(px, pys, fOut, a)
-		tiled.CombineManyInto(tx, tys, tOut, a)
+		flat.CombineManyInto(px, pys, fOut, a, 0)
+		tiled.CombineManyInto(tx, tys, tOut, a, 0)
 		for j := range fOut {
 			if fOut[j].Support() != tOut[j].Support() {
 				t.Fatalf("round %d child %d: support %d (flat) vs %d (tiled)",
@@ -150,8 +150,8 @@ func TestTiledLayoutMatchesFlat(t *testing.T) {
 			}
 		}
 		for j := 1; j < len(fOut); j++ {
-			f3 := CombineWith(flat, a, fOut[0], fOut[j])
-			t3 := CombineWith(tiled, a, tOut[0], tOut[j])
+			f3 := CombineWith(flat, a, fOut[0], fOut[j], 0)
+			t3 := CombineWith(tiled, a, tOut[0], tOut[j], 0)
 			if f3.Support() != t3.Support() || !samePayload(payload(f3), payload(t3)) {
 				t.Fatalf("round %d depth-3 pair %d: layouts disagree", round, j)
 			}
@@ -179,7 +179,7 @@ func BenchmarkCombineManyInto(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rep.CombineManyInto(px, pys, out, a)
+				rep.CombineManyInto(px, pys, out, a, 0)
 				for _, n := range out {
 					a.Release(n)
 				}
@@ -200,7 +200,7 @@ func BenchmarkCombinePairwiseBlock(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j, py := range pys {
-					out[j] = ic.CombineInto(a, px, py)
+					out[j] = ic.CombineInto(a, px, py, 0)
 				}
 				for _, n := range out {
 					a.Release(n)

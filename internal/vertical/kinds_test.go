@@ -62,7 +62,7 @@ func TestAllKindsCoverage(t *testing.T) {
 		}
 		pys := []Node{roots[1], roots[2], roots[3]}
 		out := make([]Node, len(pys))
-		rep.CombineManyInto(roots[0], pys, out, nil)
+		rep.CombineManyInto(roots[0], pys, out, nil, 0)
 		for i, py := range pys {
 			if want := rep.Combine(roots[0], py).Support(); out[i].Support() != want {
 				t.Fatalf("%v: batched child %d support %d, want %d", kind, i, out[i].Support(), want)
@@ -74,8 +74,8 @@ func TestAllKindsCoverage(t *testing.T) {
 		// happens for it.
 		if ic, ok := rep.(IntoCombiner); ok {
 			a := NewArena()
-			a.Release(ic.CombineInto(a, roots[0], roots[1]))
-			c := ic.CombineInto(a, roots[0], roots[2])
+			a.Release(ic.CombineInto(a, roots[0], roots[1], 0))
+			c := ic.CombineInto(a, roots[0], roots[2], 0)
 			if a.hits != 1 {
 				t.Fatalf("%v: Release/CombineInto recycled nothing (hits=%d) — kind missing from the Release switch?", kind, a.hits)
 			}

@@ -181,7 +181,9 @@ func (a *Arena) getNodeset() *NodesetNode {
 	return &NodesetNode{}
 }
 
-func (nodesetRep) CombineInto(a *Arena, px, py Node) Node {
+// CombineInto ignores minSup: the nodeset child is always exact (a
+// DiffNodeset count bound is an open item).
+func (nodesetRep) CombineInto(a *Arena, px, py Node, _ int) Node {
 	x, y := px.(*NodesetNode), py.(*NodesetNode)
 	n := a.getNodeset()
 	n.Enc = x.Enc
@@ -230,7 +232,8 @@ func (a *Arena) scratchNodesets(m int) (l1s [][]nodeset.L1Entry, srcs, dsts []no
 	return a.batchNLL1[:m], a.batchNLSrc[:m], a.batchNLDst[:m], a.batchNLSum[:m]
 }
 
-func (nodesetRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
+// CombineManyInto ignores minSup like CombineInto.
+func (nodesetRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena, _ int) {
 	m := len(pys)
 	if m == 0 {
 		return

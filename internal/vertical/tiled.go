@@ -97,7 +97,8 @@ func (a *Arena) getTiled() *TiledNode {
 	return &TiledNode{T: &tidset.Tiled{}}
 }
 
-func (tiledRep) CombineInto(a *Arena, px, py Node) Node {
+// CombineInto ignores minSup: the tiled child is always exact.
+func (tiledRep) CombineInto(a *Arena, px, py Node, _ int) Node {
 	x, y := px.(*TiledNode), py.(*TiledNode)
 	n := a.getTiled()
 	// No presizing needed: IntersectInto rebuilds from length zero and
@@ -121,7 +122,8 @@ func (a *Arena) scratchTileds(m int) (srcs, dsts []*tidset.Tiled) {
 	return a.batchTiledSrc[:m], a.batchTiledDst[:m]
 }
 
-func (tiledRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
+// CombineManyInto ignores minSup: tiled children are always exact.
+func (tiledRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena, _ int) {
 	m := len(pys)
 	if m == 0 {
 		return

@@ -15,6 +15,23 @@
 // The diffset rule is Equation 1 of the paper (after Zaki & Gouda); the
 // operand order in Combine therefore matters for diffsets and the miners
 // are careful to pass the smaller-last-item parent first.
+//
+// The miners' combines (CombineInto, CombineManyInto, CombineWith) take
+// the run's minimum support and stop building a child as soon as it
+// cannot reach it. The contract, for every kind:
+//
+//   - a child whose support is at least minSup is exact, identical to
+//     the unbounded Combine's;
+//   - a child below minSup reports some Support() < minSup, not
+//     necessarily its true support, and its payload is unspecified. The
+//     miners release it to the arena unused.
+//
+// The diffset kernel stops once |d(PXY)| > support(PX) − minSup, the
+// tidset kernel once the matches so far plus the shorter operand's
+// remainder fall below minSup (tidset.DiffInto, tidset.IntersectInto).
+// The bitvector, tiled, nodeset and hybrid kinds accept the bound and
+// ignore it: their children are always exact. minSup ≤ 0 asks every
+// kind for the exact child.
 package vertical
 
 import (
@@ -116,11 +133,13 @@ type Representation interface {
 	Combine(px, py Node) Node
 	// CombineManyInto combines one parent px against every sibling of a
 	// prefix block, storing child i in out[i] (len(out) must be at
-	// least len(pys)). Semantically identical to len(pys) Combine
-	// calls, but the batched kernels stream the shared parent once per
-	// block (batch.go); node storage recycles through arena when one is
-	// supplied — nil is allowed and falls back to fresh allocation.
-	CombineManyInto(px Node, pys []Node, out []Node, arena *Arena)
+	// least len(pys)). Every child reaching minSup is identical to
+	// Combine's; a child below it reports some Support() < minSup and
+	// is left partly built (see the package doc). The batched kernels
+	// stream the shared parent once per block (batch.go); node storage
+	// recycles through arena when one is supplied — nil is allowed and
+	// falls back to fresh allocation.
+	CombineManyInto(px Node, pys []Node, out []Node, arena *Arena, minSup int)
 }
 
 // New returns the Representation for kind.
