@@ -296,9 +296,3 @@ func BenchmarkBaselines(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkEclatHybrid regenerates extension A7: Eclat over the hybrid
-// tidset→diffset representation.
-func BenchmarkEclatHybrid(b *testing.B) {
-	benchAllDatasets(b, Eclat, Hybrid)
-}

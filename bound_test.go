@@ -6,8 +6,8 @@ package fim
 // whose support is minSup−1, minSup or minSup+1. This harness picks
 // the support value the most itemsets share and mines at that value
 // and its two neighbours, so many combines land on each edge, across
-// both bounded kinds, both vertical miners, batched and pairwise
-// combines, flattening depths and worker counts.
+// both bounded kinds, both vertical miners, flattening depths and
+// worker counts.
 
 import (
 	"testing"
@@ -23,7 +23,7 @@ import (
 )
 
 // TestBoundedMinersAtSupportBoundary: every (algorithm, kind, depth,
-// workers, batch) cell mines itemsets and supports identical to
+// workers) cell mines itemsets and supports identical to
 // FP-growth, which has no vertical combines, at minSup ∈ {s−1, s, s+1}
 // for the most common multi-item support s.
 func TestBoundedMinersAtSupportBoundary(t *testing.T) {
@@ -51,16 +51,13 @@ func TestBoundedMinersAtSupportBoundary(t *testing.T) {
 		kind    vertical.Kind
 		depth   int
 		workers int
-		batch   bool
 	}
 	var cells []cell
 	for _, kind := range []vertical.Kind{vertical.Diffset, vertical.Tidset} {
 		for _, workers := range []int{1, 2} {
-			for _, batch := range []bool{true, false} {
-				cells = append(cells, cell{core.Apriori, kind, 0, workers, batch})
-				for _, depth := range []int{1, 2, 4} {
-					cells = append(cells, cell{core.Eclat, kind, depth, workers, batch})
-				}
+			cells = append(cells, cell{core.Apriori, kind, 0, workers})
+			for _, depth := range []int{1, 2, 4} {
+				cells = append(cells, cell{core.Eclat, kind, depth, workers})
 			}
 		}
 	}
@@ -72,7 +69,6 @@ func TestBoundedMinersAtSupportBoundary(t *testing.T) {
 		ref := must(fpgrowth.Mine(rec, minSup, core.DefaultOptions(vertical.Tidset, 2)))
 		for _, c := range cells {
 			opt := core.DefaultOptions(c.kind, c.workers)
-			opt.Batch = c.batch
 			opt.EclatDepth = c.depth
 			var res *core.Result
 			if c.algo == core.Apriori {

@@ -66,11 +66,6 @@ func loadCalibration(path string) error {
 // way to produce a steal-mode file to diff against a default baseline
 // (benchdiff -ignore-sched).
 //
-// batchOff disables the prefix-blocked batched combine kernels and
-// records batch "off" per cell; diffing such a file against a default
-// baseline (benchdiff -ignore-batch) is the batching A/B, with the
-// exact-itemset check proving the two modes mine identical sets.
-//
 // A non-empty layoutOverride runs only the default-layout configs,
 // each under that tidset layout where it applies (configs whose
 // representation has no such layout are skipped), with the layout
@@ -86,7 +81,7 @@ func loadCalibration(path string) error {
 // per cell, so diffing such a file against a baseline (benchdiff
 // -ignore-rep) is the representation A/B with the exact-itemset check
 // proving both reps mine identical sets.
-func runBenchJSON(path string, names []string, threads []int, scale float64, reps int, schedOverride string, batchOff bool, layoutOverride, repOverride string) error {
+func runBenchJSON(path string, names []string, threads []int, scale float64, reps int, schedOverride string, layoutOverride, repOverride string) error {
 	if len(threads) == 0 {
 		threads = []int{1, 2, 4}
 	}
@@ -158,7 +153,6 @@ func runBenchJSON(path string, names []string, threads []int, scale float64, rep
 						Representation: effRep,
 						Workers:        th,
 						Observer:       b,
-						DisableBatch:   batchOff,
 					}
 					if schedName != "" {
 						if opt.SchedulePolicy, err = fim.ParseSchedulePolicy(schedName); err != nil {
@@ -173,17 +167,12 @@ func runBenchJSON(path string, names []string, threads []int, scale float64, rep
 					}
 					wall := time.Since(start)
 					report := b.Report()
-					batchName := ""
-					if batchOff {
-						batchName = "off"
-					}
 					results = append(results, export.Bench{
 						Schema:         export.BenchSchema,
 						Dataset:        name,
 						Algorithm:      c.algo.String(),
 						Representation: repName,
 						Schedule:       schedName,
-						Batch:          batchName,
 						Layout:         layoutName,
 						Threads:        th,
 						Rep:            rep,

@@ -42,9 +42,8 @@ func main() {
 	benchReps := flag.Int("reps", 1, "repetitions per -json bench cell")
 	benchDatasetsFlag := flag.String("datasets", strings.Join(benchDatasets, ","), "comma-separated datasets for the -json suite")
 	benchSched := flag.String("sched", "", "force every -json cell onto this loop schedule (static, dynamic, guided, steal); variant cells are dropped")
-	benchBatch := flag.String("batch", "on", "prefix-blocked batched combine kernels for the -json suite: on, off (off records batch \"off\" per cell)")
 	benchLayout := flag.String("layout", "", "force every -json cell onto this tidset memory layout (tiled, flat); variant cells are dropped, configs without the layout are skipped")
-	benchRep := flag.String("rep", "", "force every -json cell onto this representation (tidset, bitvector, diffset, hybrid, tiled, nodeset); variant cells and FP-growth are dropped, each algorithm runs once")
+	benchRep := flag.String("rep", "", "force every -json cell onto this representation (tidset, bitvector, diffset, tiled, nodeset); variant cells and FP-growth are dropped, each algorithm runs once")
 	calibPath := flag.String("calibration", "", "kernel calibration JSON file (default: the FIM_CALIBRATION environment variable)")
 	flag.Parse()
 
@@ -72,16 +71,7 @@ func main() {
 				names = append(names, n)
 			}
 		}
-		batchOff := false
-		switch *benchBatch {
-		case "on":
-		case "off":
-			batchOff = true
-		default:
-			fmt.Fprintf(os.Stderr, "fimbench: -batch must be on or off, got %q\n", *benchBatch)
-			os.Exit(2)
-		}
-		if err := runBenchJSON(*jsonPath, names, cfg.Threads, *scale, *benchReps, *benchSched, batchOff, *benchLayout, *benchRep); err != nil {
+		if err := runBenchJSON(*jsonPath, names, cfg.Threads, *scale, *benchReps, *benchSched, *benchLayout, *benchRep); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -115,10 +105,6 @@ func main() {
 			t := experiments.Scalability(core.Eclat, vertical.Diffset, cfg)
 			t.ID, t.Title = "table5+fig8", "Running time and speedup for Eclat with Diffset"
 			printTable(t)
-		case "eclat-hybrid":
-			t := experiments.Scalability(core.Eclat, vertical.Hybrid, cfg)
-			t.ID, t.Title = "eclat-hybrid", "Eclat with the Hybrid (dEclat switch-over) extension"
-			printTable(t)
 		case "apriori-flat":
 			for _, t := range experiments.AprioriFlat(cfg) {
 				printTable(t)
@@ -151,7 +137,7 @@ func main() {
 	if *exp == "all" {
 		for _, id := range []string{
 			"table1", "table2+fig5", "apriori-flat", "table3+fig6",
-			"table6+fig7", "table5+fig8", "eclat-hybrid", "sparse-limit",
+			"table6+fig7", "table5+fig8", "sparse-limit",
 			"schedule-ablation", "chunk-ablation", "depth-ablation", "baselines",
 			"ht-ablation", "order-ablation", "lazy-ablation", "memory-footprint",
 		} {

@@ -47,7 +47,7 @@ func main() {
 	scale := flag.Float64("scale", 1, "synthetic dataset scale factor")
 	support := flag.Float64("support", 0.5, "relative minimum support (0..1]")
 	algoName := flag.String("algo", "eclat", "algorithm: apriori, eclat, fpgrowth")
-	repName := flag.String("rep", "diffset", "representation: tidset, bitvector, diffset, hybrid, tiled, nodeset")
+	repName := flag.String("rep", "diffset", "representation: tidset, bitvector, diffset, tiled, nodeset")
 	layout := flag.String("layout", "", "tidset memory layout: tiled, flat (default: the representation as given)")
 	calibPath := flag.String("calibration", "", "per-host kernel calibration file from `calibrate -write` (default: $"+fim.CalibrationEnv+", else compiled-in)")
 	workers := flag.Int("workers", 1, "parallel workers")
@@ -56,7 +56,6 @@ func main() {
 	schedName := flag.String("sched", "", "override the loop schedule: static, dynamic, guided, steal (default: the algorithm's choice)")
 	schedChunk := flag.Int("sched-chunk", 0, "chunk size for -sched (0 = the policy's default)")
 	lazy := flag.Bool("lazy", false, "Apriori: count supports before materializing payloads")
-	batch := flag.String("batch", "on", "prefix-blocked batched combine kernels: on, off")
 	rules := flag.Float64("rules", 0, "also emit association rules at this confidence (0 = off)")
 	closedOnly := flag.Bool("closed", false, "print only closed itemsets")
 	maximalOnly := flag.Bool("maximal", false, "print only maximal itemsets")
@@ -97,13 +96,6 @@ func main() {
 	opt.OrderByFrequency = *freqOrder
 	opt.EclatDepth = *depth
 	opt.LazyMaterialize = *lazy
-	switch *batch {
-	case "on":
-	case "off":
-		opt.DisableBatch = true
-	default:
-		fatal(fmt.Errorf("fimmine: -batch must be on or off, got %q", *batch))
-	}
 	if *schedName != "" {
 		if opt.SchedulePolicy, err = fim.ParseSchedulePolicy(*schedName); err != nil {
 			fatal(err)

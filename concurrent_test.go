@@ -38,7 +38,7 @@ func TestMineContextConcurrentReentrant(t *testing.T) {
 	jobs := []job{
 		{"eclat-tidset", db, 0.6, Options{Algorithm: Eclat, Representation: Tidset, Workers: 2}, "complete"},
 		{"eclat-diffset", db, 0.62, Options{Algorithm: Eclat, Representation: Diffset, Workers: 3}, "complete"},
-		{"eclat-hybrid", mush, 0.3, Options{Algorithm: Eclat, Representation: Hybrid, Workers: 2}, "complete"},
+		{"eclat-tiled", mush, 0.3, Options{Algorithm: Eclat, Representation: Tiled, Workers: 2}, "complete"},
 		{"apriori-bitvector", db, 0.64, Options{Algorithm: Apriori, Representation: Bitvector, Workers: 2}, "complete"},
 		{"apriori-tidset", mush, 0.35, Options{Algorithm: Apriori, Representation: Tidset, Workers: 2}, "complete"},
 		{"fpgrowth", db, 0.66, Options{Algorithm: FPGrowth, Workers: 2}, "complete"},

@@ -66,24 +66,22 @@ const (
 // Representation selects the vertical transaction layout.
 type Representation = vertical.Kind
 
-// The paper's three vertical representations, plus three extensions:
-// the Hybrid switch-over (Zaki's dEclat: tidsets that become diffsets
-// when smaller), the Tiled layout (tidset semantics over fixed 128-TID
-// tiles with occupancy-summary prefilters and a per-tile sparse/dense
-// payload switch; see internal/tidset's Tiled type), and the Nodeset
+// The paper's three vertical representations, plus two extensions: the
+// Tiled layout (tidset semantics over fixed 128-TID tiles with
+// occupancy-summary prefilters and a per-tile sparse/dense payload
+// switch; see internal/tidset's Tiled type), and the Nodeset
 // representation (Deng's DiffNodesets: PPC-tree node lists with linear
 // merges; see internal/nodeset).
 const (
 	Tidset    = vertical.Tidset
 	Bitvector = vertical.Bitvector
 	Diffset   = vertical.Diffset
-	Hybrid    = vertical.Hybrid
 	Tiled     = vertical.Tiled
 	Nodeset   = vertical.Nodeset
 )
 
 // ParseRepresentation maps a representation name ("tidset",
-// "bitvector", "diffset", "hybrid", "tiled", "nodeset") to its
+// "bitvector", "diffset", "tiled", "nodeset") to its
 // Representation — the single parser every cmd shares, so a new kind
 // becomes flag-reachable by joining vertical.ParseKind alone.
 func ParseRepresentation(s string) (Representation, error) {
@@ -202,7 +200,7 @@ type Options struct {
 	// Algorithm selects the miner (Apriori, Eclat, FPGrowth).
 	Algorithm Algorithm
 	// Representation selects the vertical layout (Tidset, Bitvector,
-	// Diffset, Hybrid).
+	// Diffset, Tiled, Nodeset).
 	Representation Representation
 	// Workers is the parallel team size; 0 means serial.
 	Workers int
@@ -213,11 +211,6 @@ type Options struct {
 	SetSchedule    bool
 	// DisablePruning turns off Apriori's subset pruning.
 	DisablePruning bool
-	// DisableBatch turns off the prefix-blocked batched combine kernels
-	// and runs the miners' combine loops pairwise — the escape hatch and
-	// A/B lever for the batching optimization. Results are identical
-	// either way.
-	DisableBatch bool
 	// EclatDepth sets Eclat's flattening depth (see internal/eclat);
 	// 0 uses the default.
 	EclatDepth int
@@ -396,7 +389,6 @@ func MineAbsoluteContext(ctx context.Context, db *DB, minSupport int, opt Option
 		Collector:       opt.Trace,
 		Control:         rc,
 		Prune:           !opt.DisablePruning,
-		Batch:           !opt.DisableBatch,
 		EclatDepth:      opt.EclatDepth,
 		LazyMaterialize: opt.LazyMaterialize,
 	}

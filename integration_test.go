@@ -20,8 +20,8 @@ import (
 // repository and asserts they all produce exactly the same frequent
 // itemsets with the same supports:
 //
-//   - Apriori × {tidset, bitvector, diffset, hybrid} × {serial, parallel}
-//   - Eclat × {tidset, bitvector, diffset, hybrid} × depths {1,2,3,4}
+//   - Apriori × every vertical kind × {serial, parallel}
+//   - Eclat × every vertical kind × depths {1,2,3,4}
 //   - FP-growth (serial + parallel)
 //   - horizontal Apriori × {partial, atomic}
 //   - pointer-trie Apriori

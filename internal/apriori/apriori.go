@@ -1,8 +1,7 @@
 // Package apriori implements Algorithm 1 of the paper: generational
 // (breadth-first) frequent itemset mining over any vertical
-// representation (the paper's three plus the hybrid extension), with the
-// support-counting loop parallelized by an OpenMP-style worker team
-// under static scheduling (§III).
+// representation, with the support-counting loop parallelized by an
+// OpenMP-style worker team under static scheduling (§III).
 //
 // Per generation the miner:
 //
@@ -215,23 +214,29 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 			phase.UniqueParent = MemoryFootprint(nodes)
 		}
 
-		counter, lazy := rep.(vertical.SupportOnly)
-		lazy = lazy && opt.LazyMaterialize
-		batch := opt.Batch && !lazy // CombineSupport has no batched form
+		lazy := opt.LazyMaterialize
 
-		// Parallel support counting (Algorithm 1 line 8). The batched
-		// path iterates prefix blocks — each iteration keeps one parent
-		// px resident and combines it against its entire sibling run in
-		// a single kernel call — with the static schedule's contiguous
+		// Parallel support counting (Algorithm 1 line 8). The loop
+		// iterates prefix blocks — each iteration keeps one parent px
+		// resident and combines it against its entire sibling run in a
+		// single kernel call — with the static schedule's contiguous
 		// cuts weighted by estimated combine cost so block granularity
-		// keeps the paper's balance properties. The pairwise path is the
-		// paper's literal per-candidate loop. Both pass minSup, so the
-		// tidset and diffset kernels stop building a candidate once it
-		// cannot be frequent. Lazy materialization only computes exact
-		// supports here and allocates the frequent survivors afterwards.
+		// keeps the paper's balance properties. The combine gets minSup,
+		// so the tidset and diffset kernels stop building a candidate
+		// once it cannot be frequent. Lazy materialization instead
+		// computes exact supports per candidate with the count-only
+		// kernel and allocates the frequent survivors afterwards.
 		childNodes := make([]vertical.Node, n)
 		var err error
-		if batch {
+		if lazy {
+			err = team.ForCtx(rc, n, schedule, func(_, i int) {
+				px := nodes[cands.Px[i]]
+				py := nodes[cands.Py[i]]
+				cands.Level.Supports[i] = rep.CombineSupport(px, py)
+				cost := int64(vertical.CombineCost(px, py))
+				phase.Add(i, cost, cost, 0)
+			})
+		} else {
 			nBlocks := len(cands.Blocks) - 1
 			weights := make([]int64, nBlocks)
 			for b := 0; b < nBlocks; b++ {
@@ -268,22 +273,6 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 				}
 				rc.ChargeMem(mem)
 			})
-		} else {
-			err = team.ForCtx(rc, n, schedule, func(worker, i int) {
-				px := nodes[cands.Px[i]]
-				py := nodes[cands.Py[i]]
-				cost := int64(vertical.CombineCost(px, py))
-				if lazy {
-					cands.Level.Supports[i] = counter.CombineSupport(px, py)
-					phase.Add(i, cost, cost, 0)
-					return
-				}
-				child := vertical.CombineWith(rep, arenas[worker], px, py, minSup)
-				childNodes[i] = child
-				cands.Level.Supports[i] = child.Support()
-				rc.ChargeMem(int64(child.Bytes()))
-				phase.Add(i, cost+int64(child.Bytes()), cost, int64(child.Bytes()))
-			})
 		}
 		for _, a := range arenas {
 			a.Flush()
@@ -317,15 +306,18 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 			if mat != nil {
 				mat.UniqueParent = MemoryFootprint(parents)
 			}
-			err := team.ForCtx(rc, len(kept), schedule, func(_, w int) {
+			err := team.ForCtx(rc, len(kept), schedule, func(worker, w int) {
 				px := parents[pxs[w]]
 				py := parents[pys[w]]
-				child := rep.Combine(px, py)
+				child := vertical.Combine(rep, arenas[worker], px, py, minSup)
 				next[w] = child
 				cost := int64(vertical.CombineCost(px, py))
 				rc.ChargeMem(int64(child.Bytes()))
 				mat.Add(w, cost+int64(child.Bytes()), cost, int64(child.Bytes()))
 			})
+			for _, a := range arenas {
+				a.Flush()
+			}
 			core.EmitPhases(o, met)
 			if err != nil {
 				return collect(err)
@@ -366,7 +358,7 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 			}
 		}
 		rc.ChargeMem(-MemoryFootprint(nodes)) // retire the parent level
-		if !lazy && parentsReleasable {
+		if parentsReleasable {
 			for j, p := range nodes {
 				arenas[j%len(arenas)].Release(p)
 			}

@@ -213,7 +213,8 @@ func TestQuickAgainstReference(t *testing.T) {
 		minSup := 1 + r.Intn(nTrans/2+1)
 		rec := db.Recode(minSup)
 		ref := verify.Reference(rec, minSup)
-		kind := vertical.Kinds()[r.Intn(3)]
+		kinds := vertical.AllKinds()
+		kind := kinds[r.Intn(len(kinds))]
 		workers := []int{1, 4}[r.Intn(2)]
 		res := mine(rec, minSup, core.DefaultOptions(kind, workers))
 		return res.Equal(ref)

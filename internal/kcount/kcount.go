@@ -30,7 +30,6 @@ const (
 	Tidset = iota
 	Bitvector
 	Diffset
-	Hybrid
 	Tiled
 	Nodeset
 	numKinds
@@ -38,7 +37,7 @@ const (
 
 // kindNames are the wire names used by Stats.Map, matching
 // vertical.Kind.String().
-var kindNames = [numKinds]string{"tidset", "bitvector", "diffset", "hybrid", "tiled", "nodeset"}
+var kindNames = [numKinds]string{"tidset", "bitvector", "diffset", "tiled", "nodeset"}
 
 // Stats is a snapshot of the counters. The zero value is empty;
 // Sub produces the delta between two snapshots.
@@ -59,13 +58,10 @@ type Stats struct {
 	WordsANDed      int64
 	WordsPopcounted int64
 	// NodesBuilt and BytesMaterialized count, per representation kind,
-	// the payload nodes constructed by Combine/Roots and their byte
-	// footprint at construction.
+	// the payload nodes constructed by the combines and Roots and their
+	// byte footprint at construction.
 	NodesBuilt        [numKinds]int64
 	BytesMaterialized [numKinds]int64
-	// HybridFlips counts hybrid nodes that chose the diffset form over
-	// the tidset form at construction (the dEclat switch-over firing).
-	HybridFlips int64
 	// ArenaHits and ArenaMisses count scratch-arena node requests that
 	// were served from a worker's free list vs. fell through to the Go
 	// allocator — the zero-allocation combine path's figure of merit.
@@ -125,7 +121,6 @@ func (s Stats) Sub(prev Stats) Stats {
 		GallopProbes:     s.GallopProbes - prev.GallopProbes,
 		WordsANDed:       s.WordsANDed - prev.WordsANDed,
 		WordsPopcounted:  s.WordsPopcounted - prev.WordsPopcounted,
-		HybridFlips:      s.HybridFlips - prev.HybridFlips,
 		ArenaHits:        s.ArenaHits - prev.ArenaHits,
 		ArenaMisses:      s.ArenaMisses - prev.ArenaMisses,
 		CombinesAborted:  s.CombinesAborted - prev.CombinesAborted,
@@ -163,7 +158,6 @@ func (s Stats) Map() map[string]int64 {
 	put("gallop_probes", s.GallopProbes)
 	put("words_anded", s.WordsANDed)
 	put("words_popcounted", s.WordsPopcounted)
-	put("hybrid_flips", s.HybridFlips)
 	put("arena_hits", s.ArenaHits)
 	put("arena_misses", s.ArenaMisses)
 	put("combines_aborted", s.CombinesAborted)
@@ -192,7 +186,6 @@ type counters struct {
 	gallopProbes    atomic.Int64
 	wordsANDed      atomic.Int64
 	wordsPopcounted atomic.Int64
-	hybridFlips     atomic.Int64
 	arenaHits       atomic.Int64
 	arenaMisses     atomic.Int64
 	combinesAborted atomic.Int64
@@ -285,7 +278,6 @@ func Snapshot() Stats {
 	s.GallopProbes = global.gallopProbes.Load()
 	s.WordsANDed = global.wordsANDed.Load()
 	s.WordsPopcounted = global.wordsPopcounted.Load()
-	s.HybridFlips = global.hybridFlips.Load()
 	s.ArenaHits = global.arenaHits.Load()
 	s.ArenaMisses = global.arenaMisses.Load()
 	s.CombinesAborted = global.combinesAborted.Load()
@@ -348,13 +340,6 @@ func AddNode(kind, bytes int) {
 	if Enabled() && kind >= 0 && kind < numKinds {
 		global.nodesBuilt[kind].Add(1)
 		global.bytesMat[kind].Add(int64(bytes))
-	}
-}
-
-// AddHybridFlip accounts one hybrid node that stored the diffset form.
-func AddHybridFlip() {
-	if Enabled() {
-		global.hybridFlips.Add(1)
 	}
 }
 

@@ -16,7 +16,6 @@ func TestDisabledNoOp(t *testing.T) {
 	AddWordsANDed(5)
 	AddWordsPopcounted(5)
 	AddNode(Tidset, 64)
-	AddHybridFlip()
 	AddArena(1, 2, 3)
 	if d := Snapshot().Sub(before); len(d.Map()) != 0 {
 		t.Fatalf("disabled counters recorded %v", d.Map())
@@ -36,8 +35,7 @@ func TestEnableRecordsAndSub(t *testing.T) {
 	AddWordsPopcounted(6)
 	AddNode(Diffset, 128)
 	AddNode(Diffset, 32)
-	AddNode(Hybrid, 8)
-	AddHybridFlip()
+	AddNode(Tiled, 8)
 	AddArena(5, 1, 0)
 	AddArena(0, 0, 4)
 	d := Snapshot().Sub(base)
@@ -51,9 +49,8 @@ func TestEnableRecordsAndSub(t *testing.T) {
 		"words_popcounted":           6,
 		"nodes_built_diffset":        2,
 		"bytes_materialized_diffset": 160,
-		"nodes_built_hybrid":         1,
-		"bytes_materialized_hybrid":  8,
-		"hybrid_flips":               1,
+		"nodes_built_tiled":          1,
+		"bytes_materialized_tiled":   8,
 		"arena_hits":                 5,
 		"arena_misses":               1,
 		"combines_aborted":           4,

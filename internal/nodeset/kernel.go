@@ -64,7 +64,7 @@ func DiffL1Into(nx, ny []L1Entry, dst List) (List, int) {
 }
 
 // DiffL1Size returns DiffL1Into's count sum without materializing the
-// list — the SupportOnly form of the 2-itemset kernel.
+// list — the count-only (CombineSupport) form of the 2-itemset kernel.
 func DiffL1Size(nx, ny []L1Entry) int {
 	sum, i, steps := 0, 0, 0
 	for j := 0; j < len(ny) && i < len(nx); j++ {

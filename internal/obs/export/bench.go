@@ -27,11 +27,6 @@ type Bench struct {
 	// means the algorithm's own default. Files written before the field
 	// existed decode with it empty, so the v1 schema is unchanged.
 	Schedule string `json:"schedule,omitempty"`
-	// Batch names a non-default combine-batching mode ("off" when the
-	// prefix-blocked batched kernels are disabled); empty means the
-	// default (batched). Same backward-compatibility story as Schedule:
-	// files written before the field existed decode with it empty.
-	Batch string `json:"batch,omitempty"`
 	// Layout names a non-default tidset memory layout ("tiled" for the
 	// tile-partitioned kernels); empty means the representation's flat
 	// default. Same backward-compatibility story as Schedule: files

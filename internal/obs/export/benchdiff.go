@@ -22,7 +22,6 @@ type BenchKey struct {
 	Algorithm      string `json:"algorithm"`
 	Representation string `json:"representation,omitempty"`
 	Schedule       string `json:"schedule,omitempty"`
-	Batch          string `json:"batch,omitempty"`
 	Layout         string `json:"layout,omitempty"`
 	Threads        int    `json:"threads"`
 }
@@ -35,9 +34,6 @@ func (k BenchKey) String() string {
 	s := fmt.Sprintf("%s/%s/%s/t%d", k.Dataset, k.Algorithm, rep, k.Threads)
 	if k.Schedule != "" {
 		s += "@" + k.Schedule
-	}
-	if k.Batch != "" {
-		s += "#" + k.Batch
 	}
 	if k.Layout != "" {
 		s += "%" + k.Layout
@@ -63,7 +59,7 @@ func BenchCells(f *BenchFile) (map[BenchKey]BenchCell, error) {
 	for _, b := range f.Results {
 		k := BenchKey{Dataset: b.Dataset, Algorithm: b.Algorithm,
 			Representation: b.Representation, Schedule: b.Schedule,
-			Batch: b.Batch, Layout: b.Layout, Threads: b.Threads}
+			Layout: b.Layout, Threads: b.Threads}
 		c, ok := cells[k]
 		if !ok {
 			cells[k] = BenchCell{Wall: b.WallSeconds, Peak: b.PeakBytes, Itemsets: b.Itemsets, Reps: 1}
@@ -117,16 +113,6 @@ func sortKeys(ks []BenchKey) {
 func StripSchedule(f *BenchFile) {
 	for i := range f.Results {
 		f.Results[i].Schedule = ""
-	}
-}
-
-// StripBatch clears the batch mode of every result, collapsing each
-// batch variant onto its base cell — the batched-vs-pairwise A/B
-// comparison (-batch=off against a default baseline). DiffBench's
-// exact-itemset check then proves the two modes mine identical sets.
-func StripBatch(f *BenchFile) {
-	for i := range f.Results {
-		f.Results[i].Batch = ""
 	}
 }
 

@@ -200,43 +200,3 @@ func TestProvenanceStamped(t *testing.T) {
 		t.Errorf("pre-provenance file rejected: %v", err)
 	}
 }
-
-// TestBatchCellsDistinct: a batch-mode variant is its own cell (keyed
-// with a #batch suffix), and StripBatch collapses it onto the base cell
-// so a -batch=off file diffs against a batched baseline.
-func TestBatchCellsDistinct(t *testing.T) {
-	f := &BenchFile{Schema: BenchSchema, Results: []Bench{
-		{Schema: BenchSchema, Dataset: "chess", Algorithm: "apriori", Representation: "tidset",
-			Threads: 2, Rep: 1, WallSeconds: 1.0, PeakBytes: 100, Itemsets: 10},
-		{Schema: BenchSchema, Dataset: "chess", Algorithm: "apriori", Representation: "tidset",
-			Batch: "off", Threads: 2, Rep: 1, WallSeconds: 1.4, PeakBytes: 100, Itemsets: 10},
-	}}
-	cells, err := BenchCells(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 2 {
-		t.Fatalf("cells = %+v, want the batch-off variant kept distinct", cells)
-	}
-	k := BenchKey{Dataset: "chess", Algorithm: "apriori", Representation: "tidset",
-		Batch: "off", Threads: 2}
-	if k.String() != "chess/apriori/tidset/t2#off" {
-		t.Errorf("key string = %q", k.String())
-	}
-	if c, ok := cells[k]; !ok || c.Wall != 1.4 {
-		t.Errorf("batch-off cell = %+v ok=%v", c, ok)
-	}
-
-	StripBatch(f)
-	cells, err = BenchCells(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := BenchKey{Dataset: "chess", Algorithm: "apriori", Representation: "tidset", Threads: 2}
-	if len(cells) != 1 {
-		t.Fatalf("post-strip cells = %+v, want one merged cell", cells)
-	}
-	if c := cells[base]; c.Wall != 1.0 || c.Reps != 2 {
-		t.Errorf("merged cell = %+v, want min wall 1.0 over 2 reps", c)
-	}
-}

@@ -62,7 +62,7 @@ const (
 	// KernelCounters reports the run's per-kernel operation totals
 	// (internal/kcount: tidset merge/gallop steps, bitvector word
 	// ANDs/popcounts, nodes and bytes materialized per representation,
-	// hybrid flips) as a flat name→count map. Emitted once, before
+	// batch, arena and aborted-combine tallies) as a flat name→count map. Emitted once, before
 	// run_end, when an observer is attached.
 	KernelCounters Type = "kernel_counters"
 	// RunEnd closes the stream with the run's totals, peak live payload

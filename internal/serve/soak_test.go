@@ -35,8 +35,8 @@ func soakProblems(t *testing.T, db *fim.DB, n int) []soakProblem {
 	t.Helper()
 	algos := []fim.Algorithm{fim.Eclat, fim.Apriori, fim.FPGrowth}
 	algoNames := []string{"eclat", "apriori", "fpgrowth"}
-	reps := []fim.Representation{fim.Tidset, fim.Diffset, fim.Bitvector, fim.Hybrid}
-	repNames := []string{"tidset", "diffset", "bitvector", "hybrid"}
+	reps := []fim.Representation{fim.Tidset, fim.Diffset, fim.Bitvector, fim.Tiled}
+	repNames := []string{"tidset", "diffset", "bitvector", "tiled"}
 	probs := make([]soakProblem, n)
 	for i := range probs {
 		// Distinct supports keep every problem's flight key unique even

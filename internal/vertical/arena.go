@@ -1,19 +1,19 @@
 // Scratch arenas and allocation-free combine. Eclat's depth-first hot
-// loop creates and discards one payload node per candidate; with the
-// plain Combine every one of them is a fresh allocation, and at high
-// thread counts the allocator (and the garbage it leaves behind)
-// becomes the bottleneck — the effect Zymbler's many-core Apriori
-// study pins on non-vectorized, allocation-heavy kernels. An Arena is
-// a per-worker free list of nodes: CombineInto takes the child's node
-// and backing storage from the arena when it can (a hit) and falls
-// through to the allocator when it cannot (a miss), and Release
-// returns a node whose subtree is fully mined. Hits, misses and
-// support-bounded combines that returned a dead child are tallied
-// locally and flushed to kcount in batches.
+// loop creates and discards one payload node per candidate; with a
+// fresh allocation per child, at high thread counts the allocator (and
+// the garbage it leaves behind) becomes the bottleneck — the effect
+// Zymbler's many-core Apriori study pins on non-vectorized,
+// allocation-heavy kernels. An Arena is a per-worker free list of
+// nodes: CombineManyInto takes each child's node and backing storage
+// from the arena when it can (a hit) and falls through to the
+// allocator when it cannot (a miss), and Release returns a node whose
+// subtree is fully mined. Hits, misses and support-bounded combines
+// that returned a dead child are tallied locally and flushed to kcount
+// in batches.
 //
 // Ownership discipline: a node released to an arena must have no live
 // children in flight — the miners release a class's atoms only after
-// the recursion over that class returns. CombineInto never aliases its
+// the recursion over that class returns. A combine never aliases its
 // parents' storage (the Into kernels write a disjoint destination
 // buffer), which arena_test.go checks as a property.
 
@@ -61,6 +61,8 @@ type Arena struct {
 	batchNLSum    []int
 	nodePys       []Node
 	nodeOut       []Node
+	// pair holds Combine's batch of one: the sibling and the child.
+	pair [2]Node
 }
 
 // NewArena returns an empty arena.
@@ -178,84 +180,21 @@ func (a *Arena) getBitvec(nbits int) *BitvectorNode {
 	return &BitvectorNode{Bits: bitvec.New(nbits)}
 }
 
-// IntoCombiner is implemented by representations whose Combine can
-// recycle arena storage. CombineInto(a, px, py, minSup) returns a child
-// that reaches minSup identical to Combine(px, py) — same support, same
-// logical set — and a child below minSup that reports some Support() <
-// minSup (the package doc's bound). The child's node and backing buffer
-// come from a when possible. The result never shares backing memory
-// with px or py.
-type IntoCombiner interface {
-	CombineInto(a *Arena, px, py Node, minSup int) Node
-}
-
-// CombineWith dispatches to rep's CombineInto when it has one and an
-// arena is supplied, else to the allocating, unbounded Combine. This is
-// the single combine entry point of the miners' recursion hot loops.
-func CombineWith(rep Representation, a *Arena, px, py Node, minSup int) Node {
-	if a != nil {
-		if ic, ok := rep.(IntoCombiner); ok {
-			return ic.CombineInto(a, px, py, minSup)
-		}
+// Combine combines one pair: a batch of one through
+// rep.CombineManyInto, so a pair and a block run the same kernel. The
+// one-element slices belong to the arena, so a call through an arena
+// makes no allocation beyond what the kernel itself needs; a nil arena
+// allocates. The child obeys the package's minSup contract, and
+// minSup 0 gives the exact child.
+func Combine(rep Representation, a *Arena, px, py Node, minSup int) Node {
+	if a == nil {
+		out := make([]Node, 1)
+		rep.CombineManyInto(px, []Node{py}, out, nil, minSup)
+		return out[0]
 	}
-	return rep.Combine(px, py)
+	a.pair[0] = py
+	rep.CombineManyInto(px, a.pair[:1], a.pair[1:], a, minSup)
+	child := a.pair[1]
+	a.pair = [2]Node{} // pin neither node past the call
+	return child
 }
-
-func (tidsetRep) CombineInto(a *Arena, px, py Node, minSup int) Node {
-	x, y := px.(*TidsetNode), py.(*TidsetNode)
-	n := a.getTidset()
-	// Presize to the intersection's upper bound so an undersized recycled
-	// buffer doesn't re-grow (copying per doubling) inside the merge loop.
-	if bound := min(len(x.TIDs), len(y.TIDs)); cap(n.TIDs) < bound {
-		n.TIDs = make(tidset.Set, 0, bound)
-	}
-	n.TIDs = x.TIDs.IntersectInto(y.TIDs, n.TIDs, minSup)
-	if len(n.TIDs) < minSup {
-		a.countDead(1)
-	}
-	kcount.AddNode(kcount.Tidset, n.Bytes())
-	return n
-}
-
-// diffCap is the capacity a bounded d(PY) − d(PX) can need: at most
-// |d(PY)| elements, and the kernel stops at limit+1. The limit is
-// support(PX) − minSup, the longest diffset a child can carry and still
-// reach minSup, since support(PXY) = support(PX) − |d(PXY)|; minSup 0
-// gives support(PX), which no exact child exceeds.
-func diffCap(dy tidset.Set, limit int) int {
-	if limit < len(dy) {
-		return max(limit+1, 0)
-	}
-	return len(dy)
-}
-
-func (diffsetRep) CombineInto(a *Arena, px, py Node, minSup int) Node {
-	x, y := px.(*DiffsetNode), py.(*DiffsetNode)
-	n := a.getDiffset()
-	limit := x.sup - minSup
-	if c := diffCap(y.Diff, limit); cap(n.Diff) < c {
-		n.Diff = make(tidset.Set, 0, c)
-	}
-	n.Diff = y.Diff.DiffInto(x.Diff, n.Diff, limit) // d(PXY) = d(PY) − d(PX)
-	n.sup = x.sup - len(n.Diff)
-	if n.sup < minSup {
-		a.countDead(1)
-	}
-	kcount.AddNode(kcount.Diffset, n.Bytes())
-	return n
-}
-
-// CombineInto ignores minSup: the bitvector child is always exact.
-func (bitvectorRep) CombineInto(a *Arena, px, py Node, _ int) Node {
-	x, y := px.(*BitvectorNode), py.(*BitvectorNode)
-	n := a.getBitvec(x.Bits.Len())
-	n.Bits.AndInto(x.Bits, y.Bits)
-	n.sup = n.Bits.Count()
-	kcount.AddNode(kcount.Bitvector, n.Bytes())
-	return n
-}
-
-// hybridRep deliberately has no CombineInto: a hybrid node flips
-// between tidset and diffset form per combine, so recycled storage
-// would have to be re-typed per call; the flip bookkeeping costs more
-// than the allocation it saves. CombineWith falls back to Combine.

@@ -80,11 +80,6 @@ func scribble(n Node) {
 	}
 }
 
-// intoKinds are the kinds with an IntoCombiner: the paper's three plus
-// the tiled layout and the nodeset representation (hybrid deliberately
-// has none).
-func intoKinds() []Kind { return append(Kinds(), Tiled, Nodeset) }
-
 func randomRecoded(t testing.TB, rng *rand.Rand, items, txns int) *dataset.Recoded {
 	t.Helper()
 	var sb strings.Builder
@@ -111,29 +106,31 @@ func randomRecoded(t testing.TB, rng *rand.Rand, items, txns int) *dataset.Recod
 	return db.Recode(1)
 }
 
-// TestCombineIntoMatchesCombine: CombineWith through an arena is
-// semantically identical to the allocating Combine — same support and
-// same logical set — across representations, pairs, and a second
-// level, with released nodes recycled in between.
-func TestCombineIntoMatchesCombine(t *testing.T) {
+// TestCombineMatchesOracle: a pair combined as a batch of one, through
+// an arena and without one, holds exactly the oracle's support and set
+// for every kind, over every root pair and again one level down, with
+// released nodes recycled in between.
+func TestCombineMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	rec := randomRecoded(t, rng, 8, 60)
 	for _, kind := range AllKinds() {
-		rep := New(kind)
-		roots := rep.Roots(rec)
-		a := NewArena()
-		for i := 0; i < len(roots); i++ {
-			for j := i + 1; j < len(roots); j++ {
-				want := rep.Combine(roots[i], roots[j])
-				got := CombineWith(rep, a, roots[i], roots[j], 0)
-				if got.Support() != want.Support() {
-					t.Fatalf("%v {%d,%d}: support %d, want %d", kind, i, j, got.Support(), want.Support())
+		for _, a := range []*Arena{NewArena(), nil} {
+			rep := New(kind)
+			roots := rep.Roots(rec)
+			o := newOracle(t, kind, rec, roots)
+			for i := 0; i < len(roots); i++ {
+				for j := i + 1; j < len(roots); j++ {
+					got := Combine(rep, a, roots[i], roots[j], 0)
+					o.check(t, got, 0, i, j)
+					// Recycle the child so later combines exercise arena hits.
+					a.Release(got)
 				}
-				if kind != Hybrid && !samePayload(payload(got), payload(want)) {
-					t.Fatalf("%v {%d,%d}: payload %v, want %v", kind, i, j, payload(got), payload(want))
-				}
-				// Recycle the child so later combines exercise arena hits.
-				if kind != Hybrid {
+			}
+			ps := pairs(rep, roots)
+			for j := range ps {
+				for k := j + 1; k < len(ps); k++ {
+					got := Combine(rep, a, ps[j], ps[k], 0)
+					o.check(t, got, 0, 0, j+1, k+1)
 					a.Release(got)
 				}
 			}
@@ -141,20 +138,20 @@ func TestCombineIntoMatchesCombine(t *testing.T) {
 	}
 }
 
-// TestCombineIntoNeverAliasesParents is the aliasing property of the
-// arena doc comment: a CombineInto result must not share backing
-// memory with its live parents. Scribbling over the child's full
-// buffer capacity must leave both parents' payloads untouched, and
-// vice versa — including children recycled through Release, whose
-// buffers migrated through the free list. Even rounds combine under a
-// random minSup, so dead children whose capacity was trimmed to the
-// diffset limit+1 are released and then recycled by the exact odd
-// rounds, which need more room.
-func TestCombineIntoNeverAliasesParents(t *testing.T) {
+// TestCombineNeverAliasesParents is the aliasing property of the arena
+// doc comment: a combined child must not share backing memory with its
+// live parents. Scribbling over the child's full buffer capacity must
+// leave both parents' payloads untouched, and vice versa — including
+// children recycled through Release, whose buffers migrated through
+// the free list. Even rounds combine under a random minSup, so dead
+// children whose capacity was trimmed to the diffset limit+1 are
+// released and then recycled by the exact odd rounds, which need more
+// room.
+func TestCombineNeverAliasesParents(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rec := randomRecoded(t, rng, 7, 50)
-	for _, kind := range intoKinds() {
-		rep := New(kind).(IntoCombiner)
+	for _, kind := range AllKinds() {
+		rep := New(kind)
 		a := NewArena()
 		for round := 0; round < 4; round++ { // round > 0 uses recycled buffers
 			var released []Node
@@ -162,14 +159,14 @@ func TestCombineIntoNeverAliasesParents(t *testing.T) {
 				for j := i + 1; j < 6; j++ {
 					// Direction 1: scribbling the child leaves the parents
 					// intact. Fresh roots per pair, since scribble destroys.
-					roots := New(kind).Roots(rec)
+					roots := rep.Roots(rec)
 					px, py := roots[i], roots[j]
 					minSup := 0
 					if round%2 == 0 {
 						minSup = 1 + rng.Intn(px.Support()+1)
 					}
 					pxBefore, pyBefore := payload(px), payload(py)
-					child := rep.CombineInto(a, px, py, minSup)
+					child := Combine(rep, a, px, py, minSup)
 					scribble(child)
 					if !samePayload(payload(px), pxBefore) {
 						t.Fatalf("%v round %d {%d,%d}: mutating child corrupted px", kind, round, i, j)
@@ -181,9 +178,9 @@ func TestCombineIntoNeverAliasesParents(t *testing.T) {
 
 					// Direction 2: scribbling the parents leaves the child
 					// intact.
-					roots = New(kind).Roots(rec)
+					roots = rep.Roots(rec)
 					px, py = roots[i], roots[j]
-					child = rep.CombineInto(a, px, py, minSup)
+					child = Combine(rep, a, px, py, minSup)
 					childBefore := payload(child)
 					scribble(px)
 					scribble(py)
@@ -205,23 +202,21 @@ func TestCombineIntoNeverAliasesParents(t *testing.T) {
 // the local tallies.
 func TestArenaHitMissAccounting(t *testing.T) {
 	rec := exampleRecoded(t, 1)
-	for _, kind := range intoKinds() {
-		rep := New(kind).(IntoCombiner)
-		roots := New(kind).Roots(rec)
+	for _, kind := range AllKinds() {
+		rep := New(kind)
+		roots := rep.Roots(rec)
+		o := newOracle(t, kind, rec, roots)
 		a := NewArena()
-		c1 := rep.CombineInto(a, roots[0], roots[1], 0)
+		c1 := Combine(rep, a, roots[0], roots[1], 0)
 		if a.hits != 0 || a.misses != 1 {
 			t.Fatalf("%v: after first combine hits=%d misses=%d, want 0/1", kind, a.hits, a.misses)
 		}
-		want := New(kind).Combine(roots[0], roots[2]).Support()
 		a.Release(c1)
-		c2 := rep.CombineInto(a, roots[0], roots[2], 0)
+		c2 := Combine(rep, a, roots[0], roots[2], 0)
 		if a.hits != 1 || a.misses != 1 {
 			t.Fatalf("%v: after recycled combine hits=%d misses=%d, want 1/1", kind, a.hits, a.misses)
 		}
-		if c2.Support() != want {
-			t.Fatalf("%v: recycled node support = %d, want %d", kind, c2.Support(), want)
-		}
+		o.check(t, c2, 0, 0, 2)
 		a.Flush()
 		if a.hits != 0 || a.misses != 0 {
 			t.Errorf("%v: Flush left hits=%d misses=%d", kind, a.hits, a.misses)
@@ -233,22 +228,19 @@ func TestArenaHitMissAccounting(t *testing.T) {
 // universe length is dropped (a miss), never handed out.
 func TestArenaBitvecLengthMismatch(t *testing.T) {
 	rec := exampleRecoded(t, 1)
-	rep := New(Bitvector).(IntoCombiner)
-	roots := New(Bitvector).Roots(rec)
+	rep := New(Bitvector)
+	roots := rep.Roots(rec)
 	a := NewArena()
 	a.Release(&BitvectorNode{Bits: bitvec.New(3)})
-	c := rep.CombineInto(a, roots[0], roots[1], 0)
+	c := Combine(rep, a, roots[0], roots[1], 0)
 	if a.hits != 0 || a.misses != 1 {
 		t.Fatalf("hits=%d misses=%d, want the mismatched node dropped as a miss", a.hits, a.misses)
 	}
-	want := New(Bitvector).Combine(roots[0], roots[1])
-	if c.Support() != want.Support() || !samePayload(payload(c), payload(want)) {
-		t.Fatal("combine after mismatched release is wrong")
-	}
+	newOracle(t, Bitvector, rec, roots).check(t, c, 0, 0, 1)
 }
 
 // TestArenaNilSafe: nil arenas and nil nodes are ignored everywhere,
-// and CombineWith without an arena is the plain Combine.
+// and Combine without an arena builds the same child as with one.
 func TestArenaNilSafe(t *testing.T) {
 	var a *Arena
 	a.Release(nil)
@@ -257,11 +249,12 @@ func TestArenaNilSafe(t *testing.T) {
 	rec := exampleRecoded(t, 1)
 	rep := New(Diffset)
 	roots := rep.Roots(rec)
-	got := CombineWith(rep, nil, roots[0], roots[1], 0)
-	want := rep.Combine(roots[0], roots[1])
+	got := Combine(rep, nil, roots[0], roots[1], 0)
+	want := Combine(rep, NewArena(), roots[0], roots[1], 0)
 	if got.Support() != want.Support() || !samePayload(payload(got), payload(want)) {
-		t.Fatal("CombineWith(nil arena) diverges from Combine")
+		t.Fatal("Combine(nil arena) diverges from Combine through an arena")
 	}
+	newOracle(t, Diffset, rec, roots).check(t, got, 0, 0, 1)
 }
 
 // TestArenaFreeListCapped: releasing more nodes than arenaMaxFree
@@ -276,10 +269,10 @@ func TestArenaFreeListCapped(t *testing.T) {
 	}
 }
 
-// The combine micro-benchmark pair: the allocating Combine against the
-// arena-recycling CombineInto at steady state (child released every
-// iteration, so after the first miss every node is a hit). allocs/op
-// is the headline column — CombineInto must report fewer.
+// BenchmarkCombineOne times one pair combined through an arena at
+// steady state (child released every iteration, so after the first
+// miss every node is a hit). allocs/op is the headline column: 0 for
+// every kind once the arena is warm.
 
 func benchCombineRoots(b *testing.B, kind Kind) (Representation, []Node) {
 	b.Helper()
@@ -289,28 +282,15 @@ func benchCombineRoots(b *testing.B, kind Kind) (Representation, []Node) {
 	return rep, rep.Roots(rec)
 }
 
-func BenchmarkCombine(b *testing.B) {
-	for _, kind := range intoKinds() {
-		b.Run(kind.String(), func(b *testing.B) {
-			rep, roots := benchCombineRoots(b, kind)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep.Combine(roots[i%4], roots[4+i%4])
-			}
-		})
-	}
-}
-
-func BenchmarkCombineInto(b *testing.B) {
-	for _, kind := range intoKinds() {
+func BenchmarkCombineOne(b *testing.B) {
+	for _, kind := range AllKinds() {
 		b.Run(kind.String(), func(b *testing.B) {
 			rep, roots := benchCombineRoots(b, kind)
 			a := NewArena()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				a.Release(CombineWith(rep, a, roots[i%4], roots[4+i%4], 0))
+				a.Release(Combine(rep, a, roots[i%4], roots[4+i%4], 0))
 			}
 		})
 	}

@@ -1,22 +1,21 @@
-// Batched (prefix-blocked) combine. Candidates sharing a prefix PX are
-// contiguous both in the Apriori candidate trie and in Eclat's
-// equivalence classes, yet the pairwise Combine streams the shared
-// parent's payload once per sibling. CombineManyInto amortizes it:
-// one resident parent is combined against an entire sibling run in a
-// single kernel call (tidset.IntersectManyInto, tidset.DiffManyInto,
-// bitvec.AndManyInto), which is the cache-blocked batching of Amossen
-// & Pagh applied to the paper's §V parent-traffic bottleneck. The
-// parent_words_saved counter records the words of parent payload NOT
-// re-streamed relative to the pairwise path.
+// Prefix-blocked combine, each kind's one combine kernel. Candidates
+// sharing a prefix PX are contiguous both in the Apriori candidate trie
+// and in Eclat's equivalence classes, so CombineManyInto combines one
+// resident parent against an entire sibling run in a single kernel call
+// (tidset.IntersectManyInto, tidset.DiffManyInto, bitvec.AndManyInto,
+// tidset.TiledIntersectManyInto, nodeset.DiffManyInto), the
+// cache-blocked batching of Amossen & Pagh applied to the paper's §V
+// parent-traffic bottleneck: the shared parent streams once per block
+// instead of once per sibling. The parent_words_saved counter records
+// the words of parent payload not re-streamed. A single pair is a
+// batch of one (Combine, arena.go).
 //
-// The minSup bound is exactly CombineInto's (see the package doc): the
-// tidset and diffset kernels stop each dead child early, the other
-// kinds ignore the bound. The aliasing and ownership discipline is
-// CombineInto's too:
-// results never share backing memory with px or any pys element, and
-// arena storage recycles node buffers when an arena is supplied. A nil
-// arena allocates fresh nodes (and fresh scratch), so the batched path
-// is usable without per-worker state.
+// The minSup bound is the package doc's: the tidset and diffset
+// kernels stop each dead child early, the other kinds ignore the bound.
+// Results never share backing memory with px or any pys element, and
+// node storage recycles through the arena when one is supplied. A nil
+// arena allocates fresh nodes (and fresh scratch), so the kernels are
+// usable without per-worker state.
 
 package vertical
 
@@ -103,6 +102,18 @@ func (tidsetRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena, minS
 	kcount.AddNodes(kcount.Tidset, m, bytes)
 }
 
+// diffCap is the capacity a bounded d(PY) − d(PX) can need: at most
+// |d(PY)| elements, and the kernel stops at limit+1. The limit is
+// support(PX) − minSup, the longest diffset a child can carry and still
+// reach minSup, since support(PXY) = support(PX) − |d(PXY)|; minSup 0
+// gives support(PX), which no exact child exceeds.
+func diffCap(dy tidset.Set, limit int) int {
+	if limit < len(dy) {
+		return max(limit+1, 0)
+	}
+	return len(dy)
+}
+
 func (diffsetRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena, minSup int) {
 	m := len(pys)
 	if m == 0 {
@@ -158,15 +169,4 @@ func (bitvectorRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena, _
 		bytes += nd.Bytes()
 	}
 	kcount.AddNodes(kcount.Bitvector, m, bytes)
-}
-
-// hybridRep batches by falling back to pairwise Combine: a hybrid node
-// flips between tidset and diffset form per child, so there is no
-// shared-parent kernel to amortize — and no batch counters are
-// charged, since no parent words are actually saved. It ignores minSup:
-// hybrid children are always exact.
-func (h hybridRep) CombineManyInto(px Node, pys []Node, out []Node, _ *Arena, _ int) {
-	for i, py := range pys {
-		out[i] = h.Combine(px, py)
-	}
 }

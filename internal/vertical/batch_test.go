@@ -7,11 +7,12 @@ import (
 	"repro/internal/tidset"
 )
 
-// TestCombineManyIntoMatchesCombine: the batched block combine is
-// semantically m pairwise Combines — same supports, same payloads —
-// for every representation (hybrid checked by support only: its node
-// form is a per-child choice), with both a nil arena and a recycling
-// arena whose buffers go through Release between blocks.
+// TestCombineManyIntoMatchesCombine: a block of m siblings is
+// semantically m batches of one — every child of a block holds the
+// support and set of the same pair run through Combine, and both hold
+// the oracle's — for every kind, over root blocks and again over pair
+// blocks one level down, with both a nil arena and a recycling arena
+// whose buffers go through Release between blocks.
 func TestCombineManyIntoMatchesCombine(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	rec := randomRecoded(t, rng, 8, 60)
@@ -19,25 +20,34 @@ func TestCombineManyIntoMatchesCombine(t *testing.T) {
 		for _, arena := range []*Arena{nil, NewArena()} {
 			rep := New(kind)
 			roots := rep.Roots(rec)
+			o := newOracle(t, kind, rec, roots)
+			ps := pairs(rep, roots)
+			type block struct {
+				px     Node
+				pys    []Node
+				prefix []int
+				first  int // item of pys[0]
+			}
+			var blocks []block
 			for i := 0; i < len(roots)-1; i++ {
-				pys := roots[i+1:]
-				out := make([]Node, len(pys))
-				rep.CombineManyInto(roots[i], pys, out, arena, 0)
-				for j, py := range pys {
-					want := rep.Combine(roots[i], py)
-					if out[j].Support() != want.Support() {
-						t.Fatalf("%v block %d child %d: support %d, want %d",
-							kind, i, j, out[j].Support(), want.Support())
-					}
-					if kind != Hybrid && !samePayload(payload(out[j]), payload(want)) {
-						t.Fatalf("%v block %d child %d: payload %v, want %v",
-							kind, i, j, payload(out[j]), payload(want))
+				blocks = append(blocks, block{roots[i], roots[i+1:], []int{i}, i + 1})
+			}
+			for j := 0; j < len(ps)-1; j++ {
+				blocks = append(blocks, block{ps[j], ps[j+1:], []int{0, j + 1}, j + 2})
+			}
+			for _, b := range blocks {
+				out := make([]Node, len(b.pys))
+				rep.CombineManyInto(b.px, b.pys, out, arena, 0)
+				for k, py := range b.pys {
+					items := append(append([]int(nil), b.prefix...), b.first+k)
+					o.check(t, out[k], 0, items...)
+					one := Combine(rep, nil, b.px, py, 0)
+					if out[k].Support() != one.Support() || !samePayload(payload(out[k]), payload(one)) {
+						t.Fatalf("%v %v: block child differs from the batch of one", kind, items)
 					}
 				}
-				if kind != Hybrid {
-					for _, n := range out {
-						arena.Release(n) // nil-safe; recycles buffers for the next block
-					}
+				for _, n := range out {
+					arena.Release(n) // nil-safe; recycles buffers for the next block
 				}
 			}
 		}
@@ -53,7 +63,7 @@ func TestCombineManyIntoMatchesCombine(t *testing.T) {
 func TestCombineManyIntoNeverAliases(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	rec := randomRecoded(t, rng, 7, 50)
-	for _, kind := range intoKinds() {
+	for _, kind := range AllKinds() {
 		rep := New(kind)
 		a := NewArena()
 		for round := 0; round < 3; round++ {
@@ -112,7 +122,7 @@ func TestCombineManyIntoNeverAliases(t *testing.T) {
 }
 
 // TestTiledLayoutMatchesFlat: the tiled layout is semantically the
-// tidset representation — every pairwise and batched combine over
+// tidset representation — every block and single-pair combine over
 // tiled nodes yields exactly the flat kernels' sets and supports, at
 // depth 1 and again one level down, with arena recycling in between.
 // This is the vertical-level leg of the tiled×flat equivalence
@@ -132,8 +142,8 @@ func TestTiledLayoutMatchesFlat(t *testing.T) {
 				t.Fatalf("root %d decodes differently across layouts", i)
 			}
 		}
-		// Batched level 2 under both layouts, then pairwise level 3
-		// from the batched children.
+		// Level 2 as one block under both layouts, then level 3 pair
+		// by pair from the block's children.
 		px, pys := fRoots[0], fRoots[1:]
 		tx, tys := tRoots[0], tRoots[1:]
 		fOut := make([]Node, len(pys))
@@ -150,8 +160,8 @@ func TestTiledLayoutMatchesFlat(t *testing.T) {
 			}
 		}
 		for j := 1; j < len(fOut); j++ {
-			f3 := CombineWith(flat, a, fOut[0], fOut[j], 0)
-			t3 := CombineWith(tiled, a, tOut[0], tOut[j], 0)
+			f3 := Combine(flat, a, fOut[0], fOut[j], 0)
+			t3 := Combine(tiled, a, tOut[0], tOut[j], 0)
 			if f3.Support() != t3.Support() || !samePayload(payload(f3), payload(t3)) {
 				t.Fatalf("round %d depth-3 pair %d: layouts disagree", round, j)
 			}
@@ -165,12 +175,11 @@ func TestTiledLayoutMatchesFlat(t *testing.T) {
 	}
 }
 
-// The block-combine micro-benchmark pair: one parent against its whole
-// sibling run, batched vs pairwise CombineInto, both at arena steady
-// state. The batched form is the per-block inner loop of the miners.
+// BenchmarkCombineManyInto times one parent against its whole sibling
+// run at arena steady state: the per-block inner loop of the miners.
 
 func BenchmarkCombineManyInto(b *testing.B) {
-	for _, kind := range intoKinds() {
+	for _, kind := range AllKinds() {
 		b.Run(kind.String(), func(b *testing.B) {
 			rep, roots := benchCombineRoots(b, kind)
 			px, pys := roots[0], roots[1:]
@@ -180,28 +189,6 @@ func BenchmarkCombineManyInto(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rep.CombineManyInto(px, pys, out, a, 0)
-				for _, n := range out {
-					a.Release(n)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkCombinePairwiseBlock(b *testing.B) {
-	for _, kind := range intoKinds() {
-		b.Run(kind.String(), func(b *testing.B) {
-			rep, roots := benchCombineRoots(b, kind)
-			ic := rep.(IntoCombiner)
-			px, pys := roots[0], roots[1:]
-			out := make([]Node, len(pys))
-			a := NewArena()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j, py := range pys {
-					out[j] = ic.CombineInto(a, px, py, 0)
-				}
 				for _, n := range out {
 					a.Release(n)
 				}

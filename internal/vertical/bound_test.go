@@ -7,47 +7,38 @@ import (
 	"repro/internal/kcount"
 )
 
-// checkBoundedChild holds one bounded combine result to the package
-// contract against the unbounded child want: identical when want
-// reaches minSup, otherwise reporting some support below minSup.
-func checkBoundedChild(t *testing.T, kind Kind, got, want Node, minSup int) {
-	t.Helper()
-	if want.Support() < minSup {
-		if got.Support() >= minSup {
-			t.Fatalf("%v minSup %d: dead child reports support %d (true %d)",
-				kind, minSup, got.Support(), want.Support())
-		}
-		return
-	}
-	if got.Support() != want.Support() {
-		t.Fatalf("%v minSup %d: support %d, want %d", kind, minSup, got.Support(), want.Support())
-	}
-	if kind != Hybrid && !samePayload(payload(got), payload(want)) {
-		t.Fatalf("%v minSup %d: payload %v, want %v", kind, minSup, payload(got), payload(want))
-	}
-}
-
-// TestBoundedCombineEveryKind walks AllKinds and runs CombineManyInto
-// (through an arena and without one) and CombineWith at random minSup
-// values, two levels deep: roots against roots, then pairs against
-// pairs, where the diffset and nodeset kinds switch kernels. Every
-// child is checked against the unbounded Combine. The kinds that honor
-// the bound must also have tallied combines_aborted, and a dead diffset
-// child built without an arena must fit the limit+1 presize.
+// TestBoundedCombineEveryKind walks AllKinds at random minSup values,
+// two levels deep — roots against roots, then pairs against pairs,
+// where the diffset and nodeset kinds switch kernels — with batches of
+// size > 1 (CombineManyInto) and of size 1 (Combine), each through an
+// arena and without one. Every child is held to the oracle under the
+// bound. The kinds that honor the bound must also have tallied
+// combines_aborted, and a dead diffset child built without an arena
+// must fit the limit+1 presize.
 func TestBoundedCombineEveryKind(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	rec := randomRecoded(t, rng, 9, 80)
 	for _, kind := range AllKinds() {
 		rep := New(kind)
 		roots := rep.Roots(rec)
-		pairs := make([]Node, len(roots)-1)
-		for j := range pairs {
-			pairs[j] = rep.Combine(roots[0], roots[j+1])
+		o := newOracle(t, kind, rec, roots)
+		// Two blocks: root 0 against roots 1.., and pair {0,1} against
+		// pairs {0,2}, {0,3}, ...; items[k] is the itemset of child k.
+		type block struct {
+			px    Node
+			pys   []Node
+			items [][]int
 		}
-		blocks := []struct {
-			px  Node
-			pys []Node
-		}{{roots[0], roots[1:]}, {pairs[0], pairs[1:]}}
+		ps := pairs(rep, roots)
+		var blocks [2]block
+		blocks[0] = block{px: roots[0], pys: roots[1:]}
+		blocks[1] = block{px: ps[0], pys: ps[1:]}
+		for k := range blocks[0].pys {
+			blocks[0].items = append(blocks[0].items, []int{0, k + 1})
+		}
+		for k := range blocks[1].pys {
+			blocks[1].items = append(blocks[1].items, []int{0, 1, k + 2})
+		}
 
 		a := NewArena()
 		tok := kcount.BeginRun()
@@ -57,21 +48,21 @@ func TestBoundedCombineEveryKind(t *testing.T) {
 				for _, arena := range []*Arena{a, nil} {
 					out := make([]Node, len(b.pys))
 					rep.CombineManyInto(b.px, b.pys, out, arena, minSup)
-					for k, py := range b.pys {
-						want := rep.Combine(b.px, py)
-						checkBoundedChild(t, kind, out[k], want, minSup)
-						if d, ok := out[k].(*DiffsetNode); ok && arena == nil && want.Support() < minSup {
+					for k := range b.pys {
+						o.check(t, out[k], minSup, b.items[k]...)
+						sup, _ := o.want(b.items[k])
+						if d, ok := out[k].(*DiffsetNode); ok && arena == nil && sup < minSup {
 							if limit := b.px.Support() - minSup; cap(d.Diff) > max(limit+1, 0) {
 								t.Fatalf("dead diffset child: cap %d, want ≤ limit+1 = %d", cap(d.Diff), limit+1)
 							}
 						}
 						a.Release(out[k])
 					}
-				}
-				for _, py := range b.pys {
-					got := CombineWith(rep, a, b.px, py, minSup)
-					checkBoundedChild(t, kind, got, rep.Combine(b.px, py), minSup)
-					a.Release(got)
+					for k, py := range b.pys {
+						got := Combine(rep, arena, b.px, py, minSup)
+						o.check(t, got, minSup, b.items[k]...)
+						a.Release(got)
+					}
 				}
 			}
 		}

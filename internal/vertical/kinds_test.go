@@ -7,8 +7,8 @@ package vertical
 // recycling, never degrading, or dropping its kernel counters. This
 // test walks AllKinds(), the single canonical slice every new kind
 // must join, and fails loudly for any kind missing from New, ParseKind
-// and String, the Roots/Combine/CombineManyInto contract, the arena
-// Release switch, the degrade tables, or kcount's kind mirror.
+// and String, the Roots/CombineManyInto contract, the arena Release
+// switch, the degrade tables, or kcount's kind mirror.
 
 import (
 	"strings"
@@ -19,11 +19,6 @@ import (
 
 func TestAllKindsCoverage(t *testing.T) {
 	rec := exampleRecoded(t, 1)
-	ref := New(Tidset)
-	refRoots := ref.Roots(rec)
-	refPair := ref.Combine(refRoots[0], refRoots[1])
-	refTriple := ref.Combine(refPair, ref.Combine(refRoots[0], refRoots[2]))
-
 	seen := map[Kind]bool{}
 	for _, kind := range AllKinds() {
 		if seen[kind] {
@@ -45,50 +40,40 @@ func TestAllKindsCoverage(t *testing.T) {
 			t.Fatalf("New(%v).Kind() = %v", kind, rep.Kind())
 		}
 
-		// Mining contract: Roots, Combine and the batched combine agree
-		// with the tidset reference on supports, two levels deep.
+		// Mining contract: Roots, single pairs and a block agree with
+		// the oracle, two levels deep.
 		roots := rep.Roots(rec)
 		if len(roots) != len(rec.Items) {
 			t.Fatalf("%v: %d roots, want %d", kind, len(roots), len(rec.Items))
 		}
-		pair := rep.Combine(roots[0], roots[1])
-		if pair.Support() != refPair.Support() {
-			t.Fatalf("%v: pair support %d, want %d", kind, pair.Support(), refPair.Support())
-		}
-		sib := rep.Combine(roots[0], roots[2])
-		triple := rep.Combine(pair, sib)
-		if triple.Support() != refTriple.Support() {
-			t.Fatalf("%v: triple support %d, want %d", kind, triple.Support(), refTriple.Support())
-		}
+		o := newOracle(t, kind, rec, roots)
+		pair := Combine(rep, nil, roots[0], roots[1], 0)
+		o.check(t, pair, 0, 0, 1)
+		sib := Combine(rep, nil, roots[0], roots[2], 0)
+		triple := Combine(rep, nil, pair, sib, 0)
+		o.check(t, triple, 0, 0, 1, 2)
 		pys := []Node{roots[1], roots[2], roots[3]}
 		out := make([]Node, len(pys))
 		rep.CombineManyInto(roots[0], pys, out, nil, 0)
-		for i, py := range pys {
-			if want := rep.Combine(roots[0], py).Support(); out[i].Support() != want {
-				t.Fatalf("%v: batched child %d support %d, want %d", kind, i, out[i].Support(), want)
-			}
+		for i := range pys {
+			o.check(t, out[i], 0, 0, i+1)
 		}
 
-		// Arena coverage: a kind with an IntoCombiner must also be
-		// accepted by the Release switch, or recycling silently never
-		// happens for it.
-		if ic, ok := rep.(IntoCombiner); ok {
-			a := NewArena()
-			a.Release(ic.CombineInto(a, roots[0], roots[1], 0))
-			c := ic.CombineInto(a, roots[0], roots[2], 0)
-			if a.hits != 1 {
-				t.Fatalf("%v: Release/CombineInto recycled nothing (hits=%d) — kind missing from the Release switch?", kind, a.hits)
-			}
-			if want := rep.Combine(roots[0], roots[2]).Support(); c.Support() != want {
-				t.Fatalf("%v: recycled combine support %d, want %d", kind, c.Support(), want)
-			}
+		// Arena coverage: every kind must be accepted by the Release
+		// switch, or recycling silently never happens for it.
+		a := NewArena()
+		a.Release(Combine(rep, a, roots[0], roots[1], 0))
+		c := Combine(rep, a, roots[0], roots[2], 0)
+		if a.hits != 1 {
+			t.Fatalf("%v: Release/Combine recycled nothing (hits=%d) — kind missing from the Release switch?", kind, a.hits)
 		}
+		o.check(t, c, 0, 0, 2)
 
 		// Degrade coverage: Degradable(kind) must agree with the
 		// DegradeChild/DegradeRoot type switches, and the degraded
 		// diffsets must preserve supports and continue combining
 		// exactly (the degraded pair and sibling recombine to the
-		// reference triple support).
+		// triple's support).
 		dc := DegradeChild(roots[0], pair)
 		dr := DegradeRoot(roots[0], rec.Universe)
 		if Degradable(kind) != (dc != nil) || Degradable(kind) != (dr != nil) {
@@ -103,17 +88,17 @@ func TestAllKindsCoverage(t *testing.T) {
 				t.Fatalf("%v: degraded root support %d, want %d", kind, dr.Support(), roots[0].Support())
 			}
 			ds := DegradeChild(roots[0], sib).(*DiffsetNode)
-			dTriple := New(Diffset).Combine(dc, ds)
-			if dTriple.Support() != refTriple.Support() {
-				t.Fatalf("%v: post-degrade combine support %d, want %d", kind, dTriple.Support(), refTriple.Support())
+			dTriple := Combine(New(Diffset), nil, dc, ds, 0)
+			if want, _ := o.want([]int{0, 1, 2}); dTriple.Support() != want {
+				t.Fatalf("%v: post-degrade combine support %d, want %d", kind, dTriple.Support(), want)
 			}
 		}
 
-		// kcount mirror: Combine must charge the kind's own counter
+		// kcount mirror: a combine must charge the kind's own counter
 		// under the matching wire name (vertical.Kind and kcount's kind
 		// indices are maintained in parallel).
 		tok := kcount.BeginRun()
-		rep.Combine(roots[0], roots[1])
+		Combine(rep, nil, roots[0], roots[1], 0)
 		delta, _ := tok.End()
 		if delta.Map()["nodes_built_"+name] == 0 {
 			t.Fatalf("%v: Combine charged no nodes_built_%s — kcount kind mirror out of sync?", kind, name)

@@ -5,8 +5,8 @@
 // are plain sorted differences of DiffNodesets — the diffset
 // recurrence d(PXY) = d(PY) − d(PX) with tree nodes in place of
 // transactions, which is why the miners' combine order, the arena free
-// lists, the prefix-blocked batch path and lazy materialization all
-// apply unchanged. The co-occurrence compression of the tree makes the
+// lists, the prefix-blocked kernels and lazy materialization all apply
+// unchanged. The co-occurrence compression of the tree makes the
 // lists (and every merge over them) shorter than the equivalent
 // tidset/diffset work on dense databases.
 //
@@ -25,10 +25,6 @@ import (
 	"repro/internal/nodeset"
 	"repro/internal/tidset"
 )
-
-// Nodeset is the PPC-tree-encoded DiffNodeset representation (an
-// extension beyond the paper's three, like Hybrid and Tiled).
-const Nodeset Kind = 5
 
 // NodesetNode carries one itemset's node list: level-1 roots hold the
 // item's N-list (pre/post/count triples), deeper nodes hold the
@@ -123,29 +119,6 @@ func levels(a, b *NodesetNode) bool {
 	return a.root
 }
 
-func (nodesetRep) Combine(px, py Node) Node {
-	a, b := px.(*NodesetNode), py.(*NodesetNode)
-	n := &NodesetNode{Enc: a.Enc}
-	var sum int
-	if levels(a, b) {
-		if sup, ok := a.Enc.PairSupport(a.code, b.code); ok {
-			n.sup = sup
-			n.lx, n.ly = a.L1, b.L1
-			n.unbilled = true
-			kcount.AddNode(kcount.Nodeset, 0)
-			return n
-		}
-		n.DN, sum = nodeset.DiffL1Into(a.L1, b.L1, nil)
-	} else {
-		a.materialize()
-		b.materialize()
-		n.DN, sum = nodeset.DiffInto(b.DN, a.DN, nil) // DN(PXY) = DN(PY) − DN(PX)
-	}
-	n.sup = a.sup - sum
-	kcount.AddNode(kcount.Nodeset, n.Bytes())
-	return n
-}
-
 func (nodesetRep) CombineSupport(px, py Node) int {
 	a, b := px.(*NodesetNode), py.(*NodesetNode)
 	if levels(a, b) {
@@ -181,41 +154,6 @@ func (a *Arena) getNodeset() *NodesetNode {
 	return &NodesetNode{}
 }
 
-// CombineInto ignores minSup: the nodeset child is always exact (a
-// DiffNodeset count bound is an open item).
-func (nodesetRep) CombineInto(a *Arena, px, py Node, _ int) Node {
-	x, y := px.(*NodesetNode), py.(*NodesetNode)
-	n := a.getNodeset()
-	n.Enc = x.Enc
-	var sum int
-	if levels(x, y) {
-		if sup, ok := x.Enc.PairSupport(x.code, y.code); ok {
-			n.sup = sup
-			n.lx, n.ly = x.L1, y.L1
-			n.DN = n.DN[:0]
-			n.unbilled = true
-			kcount.AddNode(kcount.Nodeset, 0)
-			return n
-		}
-		// Presize: DN(xy) ⊆ N(x).
-		if cap(n.DN) < len(x.L1) {
-			n.DN = make(nodeset.List, 0, len(x.L1))
-		}
-		n.DN, sum = nodeset.DiffL1Into(x.L1, y.L1, n.DN)
-	} else {
-		x.materialize()
-		y.materialize()
-		// Presize: |DN(PY) − DN(PX)| ≤ |DN(PY)|.
-		if cap(n.DN) < len(y.DN) {
-			n.DN = make(nodeset.List, 0, len(y.DN))
-		}
-		n.DN, sum = nodeset.DiffInto(y.DN, x.DN, n.DN)
-	}
-	n.sup = x.sup - sum
-	kcount.AddNode(kcount.Nodeset, n.Bytes())
-	return n
-}
-
 // scratchNodesets returns the batched kernel's per-call slices: sibling
 // N-list views, sibling DiffNodeset views, destination lists and count
 // sums, arena-owned like scratchSets.
@@ -232,7 +170,8 @@ func (a *Arena) scratchNodesets(m int) (l1s [][]nodeset.L1Entry, srcs, dsts []no
 	return a.batchNLL1[:m], a.batchNLSrc[:m], a.batchNLDst[:m], a.batchNLSum[:m]
 }
 
-// CombineManyInto ignores minSup like CombineInto.
+// CombineManyInto ignores minSup: the nodeset child is always exact (a
+// DiffNodeset count bound is an open item).
 func (nodesetRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena, _ int) {
 	m := len(pys)
 	if m == 0 {

@@ -2,11 +2,11 @@
 // t(PY), support = cardinality) over the tile-partitioned layout of
 // tidset.Tiled — 128-TID tiles with exact occupancy summaries and a
 // per-tile sparse/dense payload switch. It is a full Representation
-// peer: it implements SupportOnly, IntoCombiner and CombineManyInto,
-// so lazy materialization, the recycling arena and the prefix-blocked
-// batch path all ride for free, and it is Degradable like the other
-// unbounded layouts. Everything above vertical (Eclat, Apriori, the
-// hybrid degrade machinery, runctl budgets) is layout-oblivious.
+// peer: its CombineManyInto and CombineSupport give it the recycling
+// arena, the prefix-blocked kernels and lazy materialization, and it
+// is Degradable like the other unbounded layouts. Everything above
+// vertical (Eclat, Apriori, the degrade machinery, runctl budgets) is
+// layout-oblivious.
 
 package vertical
 
@@ -17,10 +17,6 @@ import (
 	"repro/internal/kcount"
 	"repro/internal/tidset"
 )
-
-// Tiled is the tile-partitioned tidset layout (an extension beyond the
-// paper's three representations, like Hybrid).
-const Tiled Kind = 4
 
 // WithLayout resolves a layout selector against a representation: the
 // cmd-layer "-layout tiled|flat" flag maps onto Kinds rather than a
@@ -69,13 +65,6 @@ func (tiledRep) Roots(rec *dataset.Recoded) []Node {
 	return nodes
 }
 
-func (tiledRep) Combine(px, py Node) Node {
-	a, b := px.(*TiledNode), py.(*TiledNode)
-	n := &TiledNode{T: a.T.IntersectInto(b.T, &tidset.Tiled{})}
-	kcount.AddNode(kcount.Tiled, n.Bytes())
-	return n
-}
-
 func (tiledRep) CombineSupport(px, py Node) int {
 	return px.(*TiledNode).T.IntersectSize(py.(*TiledNode).T)
 }
@@ -95,17 +84,6 @@ func (a *Arena) getTiled() *TiledNode {
 	}
 	a.misses++
 	return &TiledNode{T: &tidset.Tiled{}}
-}
-
-// CombineInto ignores minSup: the tiled child is always exact.
-func (tiledRep) CombineInto(a *Arena, px, py Node, _ int) Node {
-	x, y := px.(*TiledNode), py.(*TiledNode)
-	n := a.getTiled()
-	// No presizing needed: IntersectInto rebuilds from length zero and
-	// the recycled arrays keep their high-water capacity.
-	x.T.IntersectInto(y.T, n.T)
-	kcount.AddNode(kcount.Tiled, n.Bytes())
-	return n
 }
 
 // scratchTileds returns two length-m *Tiled slices for the batched

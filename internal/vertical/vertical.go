@@ -1,11 +1,12 @@
-// Package vertical implements the three vertical transaction
-// representations of §II-B of the paper — tidset, bitvector, and diffset —
-// behind a single Representation interface that both miners (Apriori and
-// Eclat) program against.
+// Package vertical implements the vertical transaction representations
+// the miners program against: the paper's three of §II-B — tidset,
+// bitvector and diffset — plus two extensions, the tile-partitioned
+// tidset layout (tiled.go) and Deng's DiffNodesets (nodesetrep.go),
+// all behind one Representation interface shared by Apriori and Eclat.
 //
 // A Node is the per-itemset payload: whatever the representation needs to
 // compute the support of children. The only structural operation the
-// miners perform is Combine(PX, PY) → PXY, where PX and PY are k-itemsets
+// miners perform is combine(PX, PY) → PXY, where PX and PY are k-itemsets
 // sharing a (k−1)-prefix P and PX's last item precedes PY's:
 //
 //	tidset:    t(PXY) = t(PX) ∩ t(PY),        support = |t(PXY)|
@@ -13,15 +14,19 @@
 //	diffset:   d(PXY) = d(PY) − d(PX),        support = support(PX) − |d(PXY)|
 //
 // The diffset rule is Equation 1 of the paper (after Zaki & Gouda); the
-// operand order in Combine therefore matters for diffsets and the miners
-// are careful to pass the smaller-last-item parent first.
+// operand order therefore matters for diffsets and the miners are
+// careful to pass the smaller-last-item parent first.
 //
-// The miners' combines (CombineInto, CombineManyInto, CombineWith) take
-// the run's minimum support and stop building a child as soon as it
-// cannot reach it. The contract, for every kind:
+// Each kind implements that operation once, as CombineManyInto: one
+// parent PX against a run of siblings PY sharing its prefix, the
+// prefix-blocked batch of Amossen & Pagh (batch.go). A single pair is
+// a batch of one (Combine, arena.go). The only other kernel is the
+// count-only CombineSupport of Apriori's lazy materialization.
 //
-//   - a child whose support is at least minSup is exact, identical to
-//     the unbounded Combine's;
+// Combines take the run's minimum support and stop building a child as
+// soon as it cannot reach it. The contract, for every kind:
+//
+//   - a child whose support is at least minSup is exact;
 //   - a child below minSup reports some Support() < minSup, not
 //     necessarily its true support, and its payload is unspecified. The
 //     miners release it to the arena unused.
@@ -29,9 +34,9 @@
 // The diffset kernel stops once |d(PXY)| > support(PX) − minSup, the
 // tidset kernel once the matches so far plus the shorter operand's
 // remainder fall below minSup (tidset.DiffInto, tidset.IntersectInto).
-// The bitvector, tiled, nodeset and hybrid kinds accept the bound and
-// ignore it: their children are always exact. minSup ≤ 0 asks every
-// kind for the exact child.
+// The bitvector, tiled and nodeset kinds accept the bound and ignore
+// it: their children are always exact. minSup ≤ 0 asks every kind for
+// the exact child.
 package vertical
 
 import (
@@ -44,13 +49,16 @@ import (
 )
 
 // Kind selects a vertical representation: the paper's three plus the
-// Hybrid extension (hybrid.go).
+// Tiled layout (tiled.go) and the Nodeset representation
+// (nodesetrep.go). The values mirror kcount's kind indices.
 type Kind int
 
 const (
 	Tidset Kind = iota
 	Bitvector
 	Diffset
+	Tiled
+	Nodeset
 )
 
 // String returns the paper's name for the representation.
@@ -62,8 +70,6 @@ func (k Kind) String() string {
 		return "bitvector"
 	case Diffset:
 		return "diffset"
-	case Hybrid:
-		return "hybrid"
 	case Tiled:
 		return "tiled"
 	case Nodeset:
@@ -76,15 +82,16 @@ func (k Kind) String() string {
 func Kinds() []Kind { return []Kind{Tidset, Bitvector, Diffset} }
 
 // AllKinds is the canonical list of every representation the package
-// implements: the paper's three plus the Hybrid extension (hybrid.go),
-// the Tiled layout (tiled.go) and the Nodeset representation
-// (nodesetrep.go). Adding a Kind means adding it here; kinds_test.go
-// walks this slice and fails any kind missing from New, ParseKind,
-// String, the arena/batch paths or the degrade tables, so the
-// non-exhaustive switches below cannot silently skip a new entry.
-func AllKinds() []Kind { return []Kind{Tidset, Bitvector, Diffset, Hybrid, Tiled, Nodeset} }
+// implements: the paper's three plus the Tiled layout (tiled.go) and
+// the Nodeset representation (nodesetrep.go). Adding a Kind means
+// adding it here; kinds_test.go walks this slice and fails any kind
+// missing from New, ParseKind, String, the arena Release switch or the
+// degrade tables, so the non-exhaustive switches below cannot silently
+// skip a new entry.
+func AllKinds() []Kind { return []Kind{Tidset, Bitvector, Diffset, Tiled, Nodeset} }
 
-// ParseKind maps a name ("tidset", "bitvector", "diffset") to its Kind.
+// ParseKind maps a name ("tidset", "bitvector", "diffset", "tiled",
+// "nodeset") to its Kind.
 func ParseKind(s string) (Kind, error) {
 	switch s {
 	case "tidset":
@@ -93,8 +100,6 @@ func ParseKind(s string) (Kind, error) {
 		return Bitvector, nil
 	case "diffset":
 		return Diffset, nil
-	case "hybrid":
-		return Hybrid, nil
 	case "tiled":
 		return Tiled, nil
 	case "nodeset":
@@ -109,7 +114,7 @@ type Node interface {
 	Support() int
 	// Bytes returns the payload's memory footprint, the quantity the
 	// perf instrumentation uses as its NUMA-traffic proxy. Reading a
-	// parent during Combine moves this many bytes.
+	// parent during a combine moves this many bytes.
 	Bytes() int
 }
 
@@ -127,19 +132,22 @@ type Representation interface {
 	// Roots builds the level-1 node for every frequent item of rec,
 	// indexed by dense item code.
 	Roots(rec *dataset.Recoded) []Node
-	// Combine produces the node for candidate PXY from the nodes of PX
-	// and PY, where PX's last item orders before PY's. The result's
-	// Support is the candidate's support.
-	Combine(px, py Node) Node
-	// CombineManyInto combines one parent px against every sibling of a
-	// prefix block, storing child i in out[i] (len(out) must be at
-	// least len(pys)). Every child reaching minSup is identical to
-	// Combine's; a child below it reports some Support() < minSup and
-	// is left partly built (see the package doc). The batched kernels
-	// stream the shared parent once per block (batch.go); node storage
+	// CombineManyInto is the kind's one combine: it combines parent px
+	// against every sibling of a prefix block, storing child PXY_i in
+	// out[i] (len(out) must be at least len(pys)). Every child reaching
+	// minSup is exact; a child below it reports some Support() < minSup
+	// and is left partly built (see the package doc). The kernels
+	// stream the shared parent once per block (batch.go). Node storage
 	// recycles through arena when one is supplied — nil is allowed and
-	// falls back to fresh allocation.
+	// falls back to fresh allocation. Results never share backing
+	// memory with px or any pys element.
 	CombineManyInto(px Node, pys []Node, out []Node, arena *Arena, minSup int)
+	// CombineSupport returns the exact support of the child of px and
+	// py without materializing its payload — the kernel of Apriori's
+	// lazy-materialization optimization (core.Options LazyMaterialize,
+	// ablation A10): infrequent candidates are pruned before their sets
+	// are ever allocated.
+	CombineSupport(px, py Node) int
 }
 
 // New returns the Representation for kind.
@@ -151,8 +159,6 @@ func New(kind Kind) Representation {
 		return bitvectorRep{}
 	case Diffset:
 		return diffsetRep{}
-	case Hybrid:
-		return hybridRep{}
 	case Tiled:
 		return tiledRep{}
 	case Nodeset:
@@ -185,13 +191,6 @@ func (tidsetRep) Roots(rec *dataset.Recoded) []Node {
 	return nodes
 }
 
-func (tidsetRep) Combine(px, py Node) Node {
-	a, b := px.(*TidsetNode), py.(*TidsetNode)
-	n := &TidsetNode{TIDs: a.TIDs.Intersect(b.TIDs)}
-	kcount.AddNode(kcount.Tidset, n.Bytes())
-	return n
-}
-
 // --- bitvector --------------------------------------------------------
 
 // BitvectorNode carries the transaction bitmask and a cached popcount.
@@ -216,14 +215,6 @@ func (bitvectorRep) Roots(rec *dataset.Recoded) []Node {
 		kcount.AddNode(kcount.Bitvector, nodes[i].Bytes())
 	}
 	return nodes
-}
-
-func (bitvectorRep) Combine(px, py Node) Node {
-	a, b := px.(*BitvectorNode), py.(*BitvectorNode)
-	v := a.Bits.And(b.Bits)
-	n := &BitvectorNode{Bits: v, sup: v.Count()}
-	kcount.AddNode(kcount.Bitvector, n.Bytes())
-	return n
 }
 
 // --- diffset ----------------------------------------------------------
@@ -262,24 +253,6 @@ func (diffsetRep) Roots(rec *dataset.Recoded) []Node {
 	return nodes
 }
 
-func (diffsetRep) Combine(px, py Node) Node {
-	a, b := px.(*DiffsetNode), py.(*DiffsetNode)
-	d := b.Diff.Diff(a.Diff) // d(PXY) = d(PY) − d(PX)
-	kcount.AddNode(kcount.Diffset, 4*len(d))
-	return &DiffsetNode{Diff: d, sup: a.sup - len(d)}
-}
-
-// SupportOnly is implemented by representations that can compute a
-// candidate's support without materializing its payload — the kernel of
-// Apriori's lazy-materialization optimization (core.Options
-// LazyMaterialize, ablation A10): infrequent candidates are pruned
-// before their sets are ever allocated.
-type SupportOnly interface {
-	// CombineSupport returns Combine(px, py).Support() without
-	// allocating the child payload.
-	CombineSupport(px, py Node) int
-}
-
 func (tidsetRep) CombineSupport(px, py Node) int {
 	return px.(*TidsetNode).TIDs.IntersectSize(py.(*TidsetNode).TIDs)
 }
@@ -294,9 +267,9 @@ func (diffsetRep) CombineSupport(px, py Node) int {
 }
 
 // Degradable reports whether a run over kind can degrade to diffsets
-// mid-run when its memory budget is crossed. Diffset needs no cure and
-// Hybrid already switches per node, so the representations that can
-// blow past one blade (§V-A) qualify: the paper's tidset and
+// mid-run when its memory budget is crossed. Diffset needs no cure, so
+// the representations that can blow past one blade (§V-A) qualify: the
+// paper's tidset and
 // bitvector, the tiled layout (footprint tracks the tidset's), and
 // the nodeset representation, whose interval table materializes exact
 // relabeled diffsets.
@@ -306,7 +279,7 @@ func Degradable(kind Kind) bool {
 
 // DegradeChild converts a tidset or bitvector node into the equivalent
 // DiffsetNode relative to its generation parent: d(X) = t(parent) −
-// t(X), the standard diffset layout, so subsequent sibling Combines
+// t(X), the standard diffset layout, so subsequent sibling combines
 // under diffsetRep are exact. Returns nil for kinds Degradable rejects.
 //
 // This is the engine's adaptive application of the paper's own remedy:
@@ -369,7 +342,7 @@ func NodesBytes(nodes []Node) int64 {
 	return b
 }
 
-// CombineCost returns the number of bytes Combine reads from its parents:
+// CombineCost returns the number of bytes a combine reads from its parents:
 // the quantity charged as communication when a parent lives on a remote
 // NUMA node. It is simply the sum of the parents' footprints.
 func CombineCost(px, py Node) int { return px.Bytes() + py.Bytes() }

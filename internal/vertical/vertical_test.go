@@ -93,14 +93,14 @@ func TestCombineAgreesAcrossRepresentations(t *testing.T) {
 		roots := rep.Roots(rec)
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				pair := rep.Combine(roots[i], roots[j])
+				pair := Combine(rep, nil, roots[i], roots[j], 0)
 				want := horizontalSupport(itemset.New(itemset.Item(i), itemset.Item(j)))
 				if pair.Support() != want {
 					t.Errorf("%v support({%d,%d}) = %d, want %d", kind, i, j, pair.Support(), want)
 				}
 				for k := j + 1; k < n; k++ {
-					pik := rep.Combine(roots[i], roots[k])
-					triple := rep.Combine(pair, pik)
+					pik := Combine(rep, nil, roots[i], roots[k], 0)
+					triple := Combine(rep, nil, pair, pik, 0)
 					want := horizontalSupport(itemset.New(itemset.Item(i), itemset.Item(j), itemset.Item(k)))
 					if triple.Support() != want {
 						t.Errorf("%v support({%d,%d,%d}) = %d, want %d", kind, i, j, k, triple.Support(), want)
@@ -133,7 +133,7 @@ func TestDiffsetPaperIdentities(t *testing.T) {
 	// matches the tidset intersection.
 	for i := 0; i < len(droots); i++ {
 		for j := i + 1; j < len(droots); j++ {
-			dxy := rep.Combine(droots[i], droots[j]).(*DiffsetNode)
+			dxy := Combine(rep, nil, droots[i], droots[j], 0).(*DiffsetNode)
 			tx := troots[i].(*TidsetNode).TIDs
 			ty := troots[j].(*TidsetNode).TIDs
 			if !dxy.Diff.Equal(tx.Diff(ty)) {
@@ -155,8 +155,8 @@ func TestDiffsetFootprintSmallerOnDenseData(t *testing.T) {
 	var dBytes, tBytes int
 	for i := range dRoots {
 		for j := i + 1; j < len(dRoots); j++ {
-			dBytes += New(Diffset).Combine(dRoots[i], dRoots[j]).Bytes()
-			tBytes += New(Tidset).Combine(tRoots[i], tRoots[j]).Bytes()
+			dBytes += Combine(New(Diffset), nil, dRoots[i], dRoots[j], 0).Bytes()
+			tBytes += Combine(New(Tidset), nil, tRoots[i], tRoots[j], 0).Bytes()
 		}
 	}
 	if dBytes >= tBytes {
@@ -217,9 +217,9 @@ func TestQuickRepresentationAgreement(t *testing.T) {
 		c := b + 1 + r.Intn(n-b-1)
 		var sups [3]int
 		for i, rep := range reps {
-			ab := rep.Combine(roots[i][a], roots[i][b])
-			ac := rep.Combine(roots[i][a], roots[i][c])
-			abc := rep.Combine(ab, ac)
+			ab := Combine(rep, nil, roots[i][a], roots[i][b], 0)
+			ac := Combine(rep, nil, roots[i][a], roots[i][c], 0)
+			abc := Combine(rep, nil, ab, ac, 0)
 			sups[i] = abc.Support()
 		}
 		return sups[0] == sups[1] && sups[1] == sups[2]
@@ -238,9 +238,9 @@ func TestDiffsetEmptyChain(t *testing.T) {
 	rec := db.Recode(1)
 	rep := New(Diffset)
 	roots := rep.Roots(rec)
-	ab := rep.Combine(roots[0], roots[1])
-	ac := rep.Combine(roots[0], roots[2])
-	abc := rep.Combine(ab, ac)
+	ab := Combine(rep, nil, roots[0], roots[1], 0)
+	ac := Combine(rep, nil, roots[0], roots[2], 0)
+	abc := Combine(rep, nil, ab, ac, 0)
 	if abc.Support() != 2 {
 		t.Errorf("support = %d, want 2", abc.Support())
 	}
@@ -255,39 +255,38 @@ func TestTidsetSingleTransaction(t *testing.T) {
 	for _, kind := range Kinds() {
 		rep := New(kind)
 		roots := rep.Roots(rec)
-		pair := rep.Combine(roots[0], roots[1])
+		pair := Combine(rep, nil, roots[0], roots[1], 0)
 		if pair.Support() != 1 {
 			t.Errorf("%v: support = %d, want 1", kind, pair.Support())
 		}
 	}
 }
 
-// TestCombineSupportMatchesCombine: the count-only kernels must agree
-// with full materialization for every representation, including hybrid
-// with mixed node forms.
+// TestCombineSupportMatchesCombine: the count-only kernel gives every
+// kind's exact support — the oracle's, and the support of the same pair
+// run through Combine — over every root pair and one level down.
 func TestCombineSupportMatchesCombine(t *testing.T) {
 	rec := exampleRecoded(t, 1)
 	for _, kind := range AllKinds() {
 		rep := New(kind)
-		counter, ok := rep.(SupportOnly)
-		if !ok {
-			t.Fatalf("%v does not implement SupportOnly", kind)
-		}
 		roots := rep.Roots(rec)
+		o := newOracle(t, kind, rec, roots)
 		n := len(roots)
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				want := rep.Combine(roots[i], roots[j]).Support()
-				if got := counter.CombineSupport(roots[i], roots[j]); got != want {
+				want, _ := o.want([]int{i, j})
+				if got := rep.CombineSupport(roots[i], roots[j]); got != want {
 					t.Errorf("%v CombineSupport(%d,%d) = %d, want %d", kind, i, j, got, want)
 				}
-				// One level deeper (exercises hybrid's diffset forms).
+				if got := Combine(rep, nil, roots[i], roots[j], 0).Support(); got != want {
+					t.Errorf("%v Combine(%d,%d) support = %d, want %d", kind, i, j, got, want)
+				}
+				pij := Combine(rep, nil, roots[i], roots[j], 0)
 				for k := j + 1; k < n; k++ {
-					pij := rep.Combine(roots[i], roots[j])
-					pik := rep.Combine(roots[i], roots[k])
-					want := rep.Combine(pij, pik).Support()
-					if got := counter.CombineSupport(pij, pik); got != want {
-						t.Errorf("%v deep CombineSupport = %d, want %d", kind, got, want)
+					pik := Combine(rep, nil, roots[i], roots[k], 0)
+					want, _ := o.want([]int{i, j, k})
+					if got := rep.CombineSupport(pij, pik); got != want {
+						t.Errorf("%v deep CombineSupport(%d,%d,%d) = %d, want %d", kind, i, j, k, got, want)
 					}
 				}
 			}

@@ -1,13 +1,9 @@
 package fim
 
-// Miner-level legs of the tiled×flat equivalence harness: ApplyLayout
-// plumbing, then full mines over the real dataset comparing the tiled
-// layout against the flat tidset representation across algorithms,
-// worker counts, flattening depths, loop schedules and batch modes.
-// The vertical-level legs (payload equality per combine) live in
-// internal/vertical; here the property is end-to-end — byte-identical
-// results — because everything above the representation is supposed to
-// be layout-oblivious.
+// Layout equivalence and ApplyLayout plumbing. The tiled layout changes
+// only how tidsets are stored, not which itemsets are found or in which
+// dense codes, so every full mine must equal the flat one exactly; the
+// payload equality per combine is checked in internal/vertical.
 
 import (
 	"testing"
@@ -42,42 +38,12 @@ func TestApplyLayout(t *testing.T) {
 }
 
 // TestTiledMatchesFlatMining: every (algorithm, workers, depth,
-// schedule, batch) cell mines the identical result under the tiled and
-// flat layouts.
+// schedule) cell mines the identical result under the tiled and flat
+// layouts.
 func TestTiledMatchesFlatMining(t *testing.T) {
 	db := runctlDB(t)
-	steal, err := ParseSchedulePolicy("steal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	type cell struct {
-		algo     Algorithm
-		workers  int
-		depth    int
-		steal    bool
-		batchOff bool
-	}
-	var cells []cell
-	for _, w := range []int{1, 4} {
-		for _, batchOff := range []bool{false, true} {
-			cells = append(cells, cell{Apriori, w, 0, false, batchOff})
-			for _, depth := range []int{0, 2} {
-				cells = append(cells, cell{Eclat, w, depth, false, batchOff})
-			}
-			cells = append(cells, cell{Eclat, w, 0, true, batchOff})
-		}
-	}
-	for _, c := range cells {
-		opt := Options{
-			Algorithm:    c.algo,
-			Workers:      c.workers,
-			EclatDepth:   c.depth,
-			DisableBatch: c.batchOff,
-		}
-		if c.steal {
-			opt.SchedulePolicy, opt.SetSchedule = steal, true
-		}
-		optFlat, optTiled := opt, opt
+	for _, c := range flatCells() {
+		optFlat, optTiled := c, c
 		optFlat.Representation = Tidset
 		optTiled.Representation = Tiled
 		flat, err := Mine(db, 0.5, optFlat)
@@ -92,4 +58,18 @@ func TestTiledMatchesFlatMining(t *testing.T) {
 			t.Errorf("%+v: tiled layout mined a different result than flat", c)
 		}
 	}
+}
+
+// flatCells lists the (algorithm, workers, depth, schedule) cells the
+// layout and nodeset tests compare against the flat tidset kind.
+func flatCells() []Options {
+	var cells []Options
+	for _, w := range []int{1, 4} {
+		cells = append(cells, Options{Algorithm: Apriori, Workers: w})
+		for _, depth := range []int{0, 2} {
+			cells = append(cells, Options{Algorithm: Eclat, Workers: w, EclatDepth: depth})
+		}
+		cells = append(cells, Options{Algorithm: Eclat, Workers: w, SchedulePolicy: Steal, SetSchedule: true})
+	}
+	return cells
 }

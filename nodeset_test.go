@@ -1,57 +1,27 @@
 package fim
 
-// Miner-level equivalence harness for the nodeset (DiffNodeset)
-// representation: full mines over the real dataset comparing nodeset
-// against the flat tidset representation across algorithms, worker
-// counts, flattening depths, loop schedules and batch modes. The
-// kernel-level legs (support/list correctness per merge) live in
-// internal/nodeset; here the property is end-to-end — byte-identical
-// results — because nodeset mines under frequency order with deferred
-// 2-itemset lists, and none of that may be observable in the output.
+// Miner-level equivalence for the nodeset (DiffNodeset) representation:
+// full mines over the real dataset comparing nodeset against the flat
+// tidset representation across algorithms, worker counts, flattening
+// depths and loop schedules. The kernel-level legs (support/list
+// correctness per merge) live in internal/nodeset; here the property is
+// end-to-end, identical decoded results, because nodeset mines under
+// frequency order with deferred 2-itemset lists, and none of that may
+// be observable in the output.
 
 import (
 	"testing"
 )
 
 // TestNodesetMatchesFlatMining: every (algorithm, workers, depth,
-// schedule, batch) cell mines the identical result under the nodeset
-// and flat tidset representations. Run under -race this also exercises
-// the single-owner discipline of deferred 2-itemset materialization
-// across stealing workers.
+// schedule) cell mines the identical result under the nodeset and flat
+// tidset representations. Run under -race this also exercises the
+// single-owner discipline of deferred 2-itemset materialization across
+// stealing workers.
 func TestNodesetMatchesFlatMining(t *testing.T) {
 	db := runctlDB(t)
-	steal, err := ParseSchedulePolicy("steal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	type cell struct {
-		algo     Algorithm
-		workers  int
-		depth    int
-		steal    bool
-		batchOff bool
-	}
-	var cells []cell
-	for _, w := range []int{1, 4} {
-		for _, batchOff := range []bool{false, true} {
-			cells = append(cells, cell{Apriori, w, 0, false, batchOff})
-			for _, depth := range []int{0, 2} {
-				cells = append(cells, cell{Eclat, w, depth, false, batchOff})
-			}
-			cells = append(cells, cell{Eclat, w, 0, true, batchOff})
-		}
-	}
-	for _, c := range cells {
-		opt := Options{
-			Algorithm:    c.algo,
-			Workers:      c.workers,
-			EclatDepth:   c.depth,
-			DisableBatch: c.batchOff,
-		}
-		if c.steal {
-			opt.SchedulePolicy, opt.SetSchedule = steal, true
-		}
-		optFlat, optNode := opt, opt
+	for _, c := range flatCells() {
+		optFlat, optNode := c, c
 		optFlat.Representation = Tidset
 		optNode.Representation = Nodeset
 		flat, err := Mine(db, 0.5, optFlat)

@@ -118,7 +118,6 @@ func TestKernelCountersEmitted(t *testing.T) {
 		{Tidset, "tids_compared"},
 		{Bitvector, "words_anded"},
 		{Diffset, "tids_compared"},
-		{Hybrid, "nodes_built_hybrid"},
 		{Tiled, "summary_words_anded"},
 	}
 	for _, c := range cases {
